@@ -14,7 +14,6 @@ from .lattice import (
     parse_polynomial,
     support_to_text,
     primitive,
-    is_admissible_weight,
     check_admissible_weight,
     maximin_lp,
     lp_feasible,

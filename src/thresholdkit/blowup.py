@@ -22,7 +22,7 @@ from .lattice import (
     WeightVector,
     check_admissible_weight,
 )
-from .engine import ct_diagram, h_value, SearchBoundExceededError, STATUS_COMPLETE
+from .engine import certify, h_value
 from .newton import NewtonDiagram, weight_of
 
 __all__ = [
@@ -103,10 +103,5 @@ def chart_label(weights, chart: int, dimension: int | None = None) -> str:
 def verify_weight_realizes(diagram: NewtonDiagram, weights,
                            max_bound: int | None = None) -> bool:
     """True iff the weight attains the diagram threshold exactly."""
-    w = check_admissible_weight(weights, diagram.dimension)
-    report = ct_diagram(diagram, max_bound=max_bound)
-    if report.status != STATUS_COMPLETE:
-        raise SearchBoundExceededError(
-            f"weight search exceeded bound {report.search_bound}; cannot verify"
-        )
-    return h_value(diagram, w) == report.value
+    h = h_value(diagram, weights)
+    return h <= 1 and certify(diagram, h, max_bound).ok

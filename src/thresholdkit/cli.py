@@ -1,12 +1,18 @@
-"""Command-line front-end.
+"""Command-line front-end.  Each subcommand takes only these options:
 
-Subcommands: ct, lct, brieskorn, sweep, batch, verify.  All numeric output
-is exact fractions; JSON mode emits {"num": p, "den": q} objects and is
-byte-stable across runs.
+    ct INPUT         --json --max-bound N --vars NAMES --brute CAP
+    lct INPUT        --json --vars NAMES
+    brieskorn A B C  --json --max-bound N --verify
+    sweep MAX        --max-bound N --parallel N
+    batch FILE       --max-bound N --parallel N --out PATH
+    verify INPUT P/Q --json --max-bound N --vars NAMES
+
+All numeric output is exact fractions; JSON mode writes each one as a
+num/den object (fraction_to_json) and is byte-stable across runs.
 
 Exit codes: 0 success / certification holds, 1 parse error or bad
-arguments, 2 unit at the origin, 3 search bound exceeded, 4 assertion or
-verification failure.
+arguments (including an option the subcommand does not take), 2 unit at
+the origin, 3 search bound exceeded, 4 assertion or verification failure.
 """
 
 from __future__ import annotations
@@ -24,14 +30,12 @@ from typing import Iterable, Sequence
 
 from .lattice import (
     ParseError,
-    DimensionMismatchError,
-    InadmissibleWeightError,
+    fraction_to_json,
     parse_polynomial,
 )
 from .newton import NewtonDiagram, from_support, from_points, diagram_from_json
 from .engine import (
     DEFAULT_MAX_BOUND,
-    STATUS_BOUND_EXCEEDED,
     STATUS_COMPLETE,
     SearchBoundExceededError,
     ThresholdReport,
@@ -65,7 +69,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _resolve_max_bound(args) -> int:
-    if getattr(args, "max_bound", None) is not None:
+    if args.max_bound is not None:
         return args.max_bound
     env = os.environ.get(ENV_MAX_BOUND)
     if env is not None:
@@ -84,17 +88,13 @@ def _load_diagram(source: str, variables: Sequence[str] | None) -> NewtonDiagram
     return from_support(parse_polynomial(source, variables=variables))
 
 
-def _frac_text(q: Fraction) -> str:
-    return str(q)
-
-
 def _report_text(report: ThresholdReport) -> str:
     lines = [
-        f"value: {_frac_text(report.value)}",
+        f"value: {report.value}",
         f"clamped: {'yes' if report.clamped else 'no'}",
         "witnesses: " + (" ".join("(" + ",".join(map(str, w)) + ")" for w in report.witnesses)
                          if report.witnesses else "none"),
-        f"relaxation: {_frac_text(report.relaxation)}",
+        f"relaxation: {report.relaxation}",
         f"search bound: {report.search_bound}",
         f"nodes: {report.nodes}",
         f"status: {report.status}",
@@ -133,9 +133,9 @@ def _cmd_lct(args) -> int:
     diagram = _load_diagram(args.input, _split_vars(args.vars))
     value = lct_diagram(diagram)
     if args.json:
-        print(json.dumps({"value": {"num": value.numerator, "den": value.denominator}}))
+        print(json.dumps({"value": fraction_to_json(value)}))
     else:
-        print(_frac_text(value))
+        print(value)
     return EXIT_OK
 
 
@@ -145,17 +145,17 @@ def _cmd_lct(args) -> int:
 
 def _brieskorn_json(result: BrieskornResult, lct: Fraction) -> dict:
     out = {
-        "value": {"num": result.value.numerator, "den": result.value.denominator},
+        "value": fraction_to_json(result.value),
         "case": result.case,
         "weight": list(result.weight),
-        "lct": {"num": lct.numerator, "den": lct.denominator},
+        "lct": fraction_to_json(lct),
     }
     if result.s_values is not None:
         sv = result.s_values
         out["s_values"] = {
-            "s1": {"num": sv.s1.numerator, "den": sv.s1.denominator},
-            "s2": {"num": sv.s2.numerator, "den": sv.s2.denominator},
-            "s3": {"num": sv.s3.numerator, "den": sv.s3.denominator},
+            "s1": fraction_to_json(sv.s1),
+            "s2": fraction_to_json(sv.s2),
+            "s3": fraction_to_json(sv.s3),
             "k1": sv.k1,
             "k2": sv.k2,
         }
@@ -188,17 +188,17 @@ def _cmd_brieskorn(args) -> int:
         print(json.dumps(_brieskorn_json(result, lct)))
     else:
         lines = [
-            f"value: {_frac_text(result.value)}",
+            f"value: {result.value}",
             f"case: {result.case}",
             f"weight: ({','.join(map(str, result.weight))})",
         ]
         if result.s_values is not None:
             sv = result.s_values
             lines.append(
-                f"s-values: s1={_frac_text(sv.s1)} (k1={sv.k1}), "
-                f"s2={_frac_text(sv.s2)} (k2={sv.k2}), s3={_frac_text(sv.s3)}"
+                f"s-values: s1={sv.s1} (k1={sv.k1}), "
+                f"s2={sv.s2} (k2={sv.k2}), s3={sv.s3}"
             )
-        lines.append(f"lct: {_frac_text(lct)}")
+        lines.append(f"lct: {lct}")
         print("\n".join(lines))
     return EXIT_OK
 
@@ -321,8 +321,7 @@ def _batch_line(job: tuple[str, int]) -> dict:
             return {"error": "line must be a polynomial string or a diagram object"}
         report = ct_diagram(diagram, max_bound=max_bound)
         return report.to_json_dict()
-    except (ParseError, DimensionMismatchError, InadmissibleWeightError,
-            UnitAtOriginError, ValueError) as exc:
+    except ValueError as exc:  # parse, shape, dimension and unit errors alike
         return {"error": str(exc)}
 
 
@@ -376,24 +375,24 @@ def _cmd_verify(args) -> int:
     if args.json:
         out = {
             "certified": cert.ok,
-            "threshold": {"num": c.numerator, "den": c.denominator},
+            "threshold": fraction_to_json(c),
             "witness": list(cert.witness) if cert.witness else None,
             "computed": cert.report.to_json_dict(),
         }
         print(json.dumps(out))
     else:
         if cert.ok:
-            print(f"certified: {_frac_text(c)} realized by "
+            print(f"certified: {c} realized by "
                   f"({','.join(map(str, cert.witness))})")
         else:
             computed = cert.report.value
             if computed < c and cert.report.witnesses:
                 violator = cert.report.witnesses[0]
                 print(f"not certified: ({','.join(map(str, violator))}) gives "
-                      f"{_frac_text(computed)} < {_frac_text(c)}")
+                      f"{computed} < {c}")
             else:
-                print(f"not certified: threshold is {_frac_text(computed)}"
-                      f"{' (clamped)' if cert.report.clamped else ''}, not {_frac_text(c)}")
+                print(f"not certified: threshold is {computed}"
+                      f"{' (clamped)' if cert.report.clamped else ''}, not {c}")
     return EXIT_OK if cert.ok else EXIT_MISMATCH
 
 
@@ -401,16 +400,20 @@ def _cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, with_vars: bool = False) -> None:
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--max-bound", type=int, default=None,
+_OPTIONS = {
+    "--json": dict(action="store_true", help="emit JSON"),
+    "--max-bound": dict(type=int, default=None,
                         help=f"search cap on |w|_1 (default {DEFAULT_MAX_BOUND}, "
-                             f"or ${ENV_MAX_BOUND})")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="number of worker processes")
-    if with_vars:
-        parser.add_argument("--vars", default=None,
-                            help="comma-separated variable names, e.g. x,y")
+                             f"or ${ENV_MAX_BOUND})"),
+    "--parallel": dict(type=int, default=None, metavar="N",
+                       help="number of worker processes"),
+    "--vars": dict(default=None, help="comma-separated variable names, e.g. x,y"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("input", help="polynomial text or diagram JSON file")
     p_ct.add_argument("--brute", type=int, default=None, metavar="CAP",
                       help="use the box-enumeration oracle with this cap")
-    _add_common(p_ct, with_vars=True)
+    _add_options(p_ct, "--json", "--max-bound", "--vars")
     p_ct.set_defaults(func=_cmd_ct)
 
     p_lct = sub.add_parser("lct", help="log-canonical threshold (LP relaxation)")
     p_lct.add_argument("input", help="polynomial text or diagram JSON file")
-    _add_common(p_lct, with_vars=True)
+    _add_options(p_lct, "--json", "--vars")
     p_lct.set_defaults(func=_cmd_lct)
 
     p_bk = sub.add_parser("brieskorn", help="closed form for x^a + y^b + z^c")
@@ -435,24 +438,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_bk.add_argument("c", type=int)
     p_bk.add_argument("--verify", action="store_true",
                       help="also run the search engine and require agreement")
-    _add_common(p_bk)
+    _add_options(p_bk, "--json", "--max-bound")
     p_bk.set_defaults(func=_cmd_brieskorn)
 
     p_sweep = sub.add_parser("sweep", help="CSV over all triples up to a bound")
     p_sweep.add_argument("max", type=int)
-    _add_common(p_sweep)
+    _add_options(p_sweep, "--max-bound", "--parallel")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_batch = sub.add_parser("batch", help="JSON-lines batch evaluation")
     p_batch.add_argument("file")
     p_batch.add_argument("--out", default=None, help="write results to this file atomically")
-    _add_common(p_batch)
+    _add_options(p_batch, "--max-bound", "--parallel")
     p_batch.set_defaults(func=_cmd_batch)
 
     p_verify = sub.add_parser("verify", help="certify a candidate threshold")
     p_verify.add_argument("input", help="polynomial text or diagram JSON file")
     p_verify.add_argument("threshold", help="candidate value as p/q")
-    _add_common(p_verify, with_vars=True)
+    _add_options(p_verify, "--json", "--max-bound", "--vars")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -474,10 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SearchBoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (DimensionMismatchError, InadmissibleWeightError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

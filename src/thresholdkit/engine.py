@@ -34,8 +34,6 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .lattice import (
-    InadmissibleWeightError,
-    MaximinSolution,
     WeightVector,
     check_admissible_weight,
     fraction_to_json,
@@ -149,6 +147,48 @@ class Certification:
     report: ThresholdReport
 
 
+class _Best:
+    """Least h offered so far, as an unreduced pair num/den (den == 0: none
+    yet), and every vector attaining it.  Hot loops test
+    ``num * best.den <= best.num * wf`` inline and offer only the vectors
+    that pass, so the common case costs no call."""
+
+    __slots__ = ("num", "den", "witnesses")
+
+    def __init__(self):
+        self.num = 0
+        self.den = 0
+        self.witnesses: list[WeightVector] = []
+
+    def offer(self, w: WeightVector, num: int, wf: int) -> bool:
+        """Record w if num/wf ties or beats the best value (wf == 0 is
+        +infinity and never recorded); True iff it strictly beats it.
+        Each vector must be offered at most once."""
+        if wf == 0:
+            return False
+        if self.den == 0 or num * self.den < self.num * wf:
+            self.num, self.den = num, wf
+            self.witnesses = [w]
+            return True
+        if num * self.den == self.num * wf:
+            self.witnesses.append(w)
+        return False
+
+    def report(self, relaxation: Fraction, search_bound: int, nodes: int,
+               status: str) -> ThresholdReport:
+        raw = Fraction(self.num, self.den)
+        clamped = raw > 1
+        return ThresholdReport(
+            value=Fraction(1) if clamped else raw,
+            clamped=clamped,
+            witnesses=() if clamped else tuple(sorted(self.witnesses)),
+            relaxation=relaxation,
+            search_bound=search_bound,
+            nodes=nodes,
+            status=status,
+        )
+
+
 def _check_no_unit(diagram: NewtonDiagram) -> None:
     origin = (0,) * diagram.dimension
     if origin in diagram.generators:
@@ -213,31 +253,12 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     tstar = sol.value
     rstar = 1 / tstar
 
-    nodes = 0
-    best_num = 0  # raw h as an unreduced pair best_num/best_den; 0/0 = not set
-    best_den = 0
-    witnesses: list[WeightVector] = []
-
-    def wf_of(w: Sequence[int]) -> int:
-        return min(sum(wi * mi for wi, mi in zip(w, m)) for m in gens)
-
-    def consider(w: WeightVector, level: int, wf: int) -> bool:
-        nonlocal best_num, best_den, witnesses
-        if wf == 0:
-            return False
-        num = level - 1
-        if best_den == 0 or num * best_den < best_num * wf:
-            best_num, best_den = num, wf
-            witnesses = [w]
-            return True
-        if num * best_den == best_num * wf and w not in witnesses:
-            witnesses.append(w)
-        return False
+    best = _Best()
 
     def search_limit() -> int | None:
-        if best_den == 0:
+        if best.den == 0:
             return None
-        tau = Fraction(best_num, best_den)
+        tau = Fraction(best.num, best.den)
         if tau > 1:
             tau = Fraction(1)
         if tau >= rstar:
@@ -252,14 +273,15 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     if ones not in seeds:
         seeds.append(ones)
     for w in seeds:
-        wf = wf_of(w)
-        nodes += 1
-        if w is ray:
-            # the primitive vector on the optimal ray sits strictly under r*
-            assert wf > 0 and Fraction(sum(w) - 1, wf) < rstar
-        consider(w, sum(w), wf)
+        wf = weight_of(diagram, w)
+        # the primitive vector on the optimal ray sits strictly under r*
+        if w is ray and not (wf > 0 and Fraction(sum(w) - 1, wf) < rstar):
+            raise AssertionError(f"optimal-ray seed {w} does not beat r* = {rstar}")
+        best.offer(w, sum(w) - 1, wf)
     seed_set = set(seeds)
+    nodes = len(seeds)
 
+    gcd = math.gcd
     ts_num = tstar.numerator
     ts_den = tstar.denominator
     status = STATUS_COMPLETE
@@ -272,34 +294,27 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
             status = STATUS_BOUND_EXCEEDED
             break
         improved = False
+        num = level - 1
+        best_num, best_den = best.num, best.den
         for w in _compositions(level, n):
-            if math.gcd(*w) != 1 or w in seed_set:
+            if gcd(*w) != 1 or w in seed_set:
                 continue
             nodes += 1
-            wf = wf_of(w)
+            wf = min(sum(wi * mi for wi, mi in zip(w, m)) for m in gens)
             # relaxation sandwich: wf <= |w|_1 * t*
-            assert wf * ts_den <= level * ts_num
-            if consider(w, level, wf):
-                improved = True
+            if wf * ts_den > level * ts_num:
+                raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {level * tstar}")
+            if num * best_den <= best_num * wf:
+                improved |= best.offer(w, num, wf)
+                best_num, best_den = best.num, best.den
         if improved:
             limit = search_limit()
         level += 1
 
-    raw = Fraction(best_num, best_den)
-    clamped = raw > 1
-    value = Fraction(1) if clamped else raw
-    final_witnesses = () if clamped else tuple(sorted(witnesses))
     bound = limit if status == STATUS_COMPLETE else cap
-    assert bound is not None
-    return ThresholdReport(
-        value=value,
-        clamped=clamped,
-        witnesses=final_witnesses,
-        relaxation=rstar,
-        search_bound=bound,
-        nodes=nodes,
-        status=status,
-    )
+    if bound is None:
+        raise AssertionError("search completed without a finite level bound")
+    return best.report(rstar, bound, nodes, status)
 
 
 def lct_diagram(diagram: NewtonDiagram) -> Fraction:
@@ -319,58 +334,31 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     if cap < 2:
         raise ValueError(f"cap must be at least 2, got {cap}")
     _check_no_unit(diagram)
+    n = diagram.dimension
     gens = diagram.generators
-    sol = maximin_lp(gens, diagram.dimension)
+    sol = maximin_lp(gens, n)
 
+    best = _Best()
+    best_num = best_den = 0
     nodes = 0
-    best_num = 0
-    best_den = 0
-    witnesses: list[WeightVector] = []
-
-    def record(w: WeightVector, num: int, wf: int) -> None:
-        nonlocal best_num, best_den, witnesses
-        if wf == 0:
-            return
-        if best_den == 0 or num * best_den < best_num * wf:
-            best_num, best_den = num, wf
-            witnesses = [w]
-        elif num * best_den == best_num * wf:
-            witnesses.append(w)
-
     gcd = math.gcd
-    if diagram.dimension == 3:
-        # hoist the (w1, w2) partial dot products out of the inner loop
-        thirds = tuple(m[2] for m in gens)
-        for w1 in range(cap + 1):
-            for w2 in range(cap + 1):
-                g12 = gcd(w1, w2)
-                s12 = w1 + w2
-                partial = tuple(m[0] * w1 + m[1] * w2 for m in gens)
-                for w3 in range(cap + 1):
-                    if s12 + w3 < 2 or gcd(g12, w3) != 1:
-                        continue
-                    nodes += 1
-                    wf = min(p + t * w3 for p, t in zip(partial, thirds))
-                    record((w1, w2, w3), s12 + w3 - 1, wf)
-    else:
-        for w in product(range(cap + 1), repeat=diagram.dimension):
-            if sum(w) < 2 or gcd(*w) != 1:
+    box = range(cap + 1)
+    lasts = tuple(m[-1] for m in gens)
+    for head in product(box, repeat=n - 1):
+        # dot products of the first n-1 coordinates, hoisted out of the last loop
+        g_head = gcd(*head)
+        s_head = sum(head)
+        partial = tuple(sum(wi * mi for wi, mi in zip(head, m)) for m in gens)
+        for last in box:
+            if s_head + last < 2 or gcd(g_head, last) != 1:
                 continue
             nodes += 1
-            wf = min(sum(wi * mi for wi, mi in zip(w, m)) for m in gens)
-            record(w, sum(w) - 1, wf)
-
-    raw = Fraction(best_num, best_den)
-    clamped = raw > 1
-    return ThresholdReport(
-        value=Fraction(1) if clamped else raw,
-        clamped=clamped,
-        witnesses=() if clamped else tuple(sorted(witnesses)),
-        relaxation=1 / sol.value,
-        search_bound=cap,
-        nodes=nodes,
-        status=STATUS_COMPLETE,
-    )
+            wf = min(p + t * last for p, t in zip(partial, lasts))
+            num = s_head + last - 1
+            if num * best_den <= best_num * wf:
+                best.offer(head + (last,), num, wf)
+                best_num, best_den = best.num, best.den
+    return best.report(1 / sol.value, cap, nodes, STATUS_COMPLETE)
 
 
 def certify(diagram: NewtonDiagram, c: Fraction,

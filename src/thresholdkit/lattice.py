@@ -39,7 +39,6 @@ __all__ = [
     "parse_polynomial",
     "support_to_text",
     "primitive",
-    "is_admissible_weight",
     "check_admissible_weight",
     "maximin_lp",
     "lp_feasible",
@@ -130,34 +129,16 @@ class SupportSet:
 def primitive(v: Sequence[int]) -> WeightVector:
     """Divide a nonnegative integer vector by the gcd of its coordinates.
 
-    Rejects the zero vector and positive multiples of standard unit vectors,
-    which are excluded from every weight enumeration in this package.
+    Rejects, through check_admissible_weight, everything that is not a
+    positive multiple of an admissible weight: negative or non-integer
+    entries, the zero vector and multiples of standard unit vectors.
     """
     t = tuple(v)
-    for x in t:
-        if not isinstance(x, int) or x < 0:
-            raise InadmissibleWeightError(f"weight vector {t} has a non-integer or negative entry")
-    g = math.gcd(*t) if t else 0
-    if g == 0:
-        raise InadmissibleWeightError("zero vector is not an admissible weight")
-    reduced = tuple(x // g for x in t)
-    if sum(reduced) == 1:
-        axis = reduced.index(1)
-        raise InadmissibleWeightError(
-            f"{t} is a multiple of the unit vector e_{axis + 1}, which is excluded"
-        )
-    return reduced
-
-
-def is_admissible_weight(w: Sequence[int], dimension: int | None = None) -> bool:
-    t = tuple(w)
-    if dimension is not None and len(t) != dimension:
-        return False
-    if any(not isinstance(x, int) or x < 0 for x in t):
-        return False
-    if math.gcd(*t) != 1:
-        return False
-    return sum(t) >= 2
+    if all(isinstance(x, int) for x in t):
+        g = math.gcd(*t)
+        if g > 1:
+            t = tuple(x // g for x in t)
+    return check_admissible_weight(t)
 
 
 def check_admissible_weight(w: Sequence[int], dimension: int | None = None) -> WeightVector:
@@ -220,6 +201,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.positions: dict[str, int] = {}  # first position of each variable
 
     def peek(self):
         return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, len(self.text))
@@ -313,8 +295,7 @@ class _Parser:
             if exp < 1:
                 raise ParseError("exponent must be a positive integer", epos)
         exponents[name] = exponents.get(name, 0) + exp
-        self._positions = getattr(self, "_positions", {})
-        self._positions.setdefault(name, pos)
+        self.positions.setdefault(name, pos)
 
 
 def _resolve_variables(names_in_order: list[tuple[str, int]],
@@ -361,8 +342,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
     """
     parser = _Parser(text)
     terms = parser.parse()
-    positions = getattr(parser, "_positions", {})
-    names_in_order = sorted(positions.items(), key=lambda kv: kv[1])
+    names_in_order = sorted(parser.positions.items(), key=lambda kv: kv[1])
     vars_ = _resolve_variables(names_in_order, variables)
     index = {name: i for i, name in enumerate(vars_)}
 
@@ -541,10 +521,11 @@ def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
     x, value = _solve_standard(A, b, c)
     direction = tuple(x[:n])
 
-    assert sum(direction) == 1 and all(u >= 0 for u in direction)
+    # the vertex must be a probability direction whose least weight is t
     weights = [sum(u * mi for u, mi in zip(direction, m)) for m in gens]
-    assert all(wv >= value for wv in weights)
-    assert any(wv == value for wv in weights)
+    if not (sum(direction) == 1 and all(u >= 0 for u in direction)
+            and min(weights) == value):
+        raise AssertionError(f"simplex returned an invalid maximin vertex {direction}, t = {value}")
     return MaximinSolution(value=value, direction=direction)
 
 

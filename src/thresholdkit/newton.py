@@ -150,4 +150,8 @@ def diagram_from_json(obj: dict | str) -> NewtonDiagram:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError('diagram JSON must be an object {"n": ..., "points": [...]}')
-    return from_points(obj["points"], int(obj["n"]))
+    n, points = obj["n"], obj["points"]
+    if (not isinstance(n, int) or not isinstance(points, list)
+            or not all(isinstance(p, list) for p in points)):
+        raise ValueError('diagram JSON needs an integer "n" and "points" as a list of integer lists')
+    return from_points(points, n)

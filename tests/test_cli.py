@@ -250,6 +250,17 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_batch_malformed_diagram_line_is_per_line_error(tmp_path, capsys):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('{"n": 3, "points": 5}\n"x^2+y^3+z^6"\n{"n": 3, "points": [1, 2]}\n')
+    code, out, err = run(capsys, "batch", str(jobs))
+    assert code == 1
+    assert err == ""
+    results = [json.loads(line) for line in out.strip().split("\n")]
+    assert "error" in results[0] and "error" in results[2]
+    assert results[1]["value"] == {"num": 5, "den": 6}
+
+
 def test_batch_unit_line_is_per_line_error(tmp_path, capsys):
     jobs = tmp_path / "jobs.jsonl"
     jobs.write_text('"1 + x"\n')
@@ -297,6 +308,17 @@ def test_unknown_command_exits_1(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ct", "x^2+y^3+z^6", "--parallel", "2"],
+    ["lct", "x^2+y^3+z^6", "--max-bound", "5"],
+    ["sweep", "3", "--json"],
+])
+def test_option_not_taken_by_subcommand_exits_1(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
 
 
 def test_missing_arguments_exit_1(capsys):

@@ -1,7 +1,11 @@
 """Exact arithmetic, parsing, and the maximin LP kernel."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +14,7 @@ from thresholdkit import (
     DimensionMismatchError,
     InadmissibleWeightError,
     ParseError,
+    check_admissible_weight,
     SupportSet,
     lp_feasible,
     maximin_lp,
@@ -58,6 +63,13 @@ def test_primitive_rejects_unit_multiple():
 def test_primitive_rejects_zero():
     with pytest.raises(InadmissibleWeightError):
         primitive((0, 0, 0))
+
+
+@pytest.mark.parametrize("v", [(-1, 2, 1), (1.0, 2, 1), (0, 0, 0), (3, 0, 0)])
+def test_primitive_rejects_like_check_admissible_weight(v):
+    for validate in (primitive, check_admissible_weight):
+        with pytest.raises(InadmissibleWeightError):
+            validate(v)
 
 
 @given(
@@ -319,6 +331,36 @@ def test_maximin_invariant_under_generator_order():
 def test_maximin_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         maximin_lp({(1, 2)}, 3)
+
+
+_CORRUPT_VERTEX = """
+import sys
+from fractions import Fraction
+import thresholdkit.lattice as lattice
+
+assert False, "this script must run under python -O"
+solve = lattice._solve_standard
+
+def corrupted(A, b, c):
+    x, value = solve(A, b, c)
+    x[0] += Fraction(1, 2)  # the direction no longer sums to 1
+    return x, value
+
+lattice._solve_standard = corrupted
+try:
+    lattice.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
+except AssertionError:
+    print("rejected")
+"""
+
+
+def test_maximin_rejects_corrupt_vertex_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_VERTEX],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 # ---------------------------------------------------------------------------

@@ -277,5 +277,11 @@ def test_diagram_json_accepts_string():
 
 
 def test_diagram_json_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        diagram_from_json({"points": [[1, 0]]})
+    for obj in [
+        {"points": [[1, 0]]},
+        {"n": 3, "points": 5},
+        {"n": 3, "points": [1, 2]},
+        {"n": None, "points": [[1, 0]]},
+    ]:
+        with pytest.raises(ValueError):
+            diagram_from_json(obj)
