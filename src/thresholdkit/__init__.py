@@ -18,7 +18,6 @@ from .lattice import (
     maximin_lp,
     lp_feasible,
     fraction_to_json,
-    fraction_from_json,
 )
 from .newton import (
     NewtonDiagram,

@@ -94,22 +94,13 @@ def s_values(triple: BrieskornTriple) -> SValues:
             f"s-values are defined only when lcm(a, b) > c; lcm({a}, {b}) = {math.lcm(a, b)} <= {c}"
         )
 
-    s1 = None
-    k1 = 0
-    for k in range(1, c // b + 1):
-        candidate = Fraction(1, b) + Fraction(_ceildiv(k * b, a), k * b)
-        if s1 is None or candidate < s1:
-            s1, k1 = candidate, k
-
-    s2 = None
-    k2 = 0
-    for k in range(1, c // a + 1):
-        candidate = Fraction(1, a) + Fraction(_ceildiv(k * a, b), k * a)
-        if s2 is None or candidate < s2:
-            s2, k2 = candidate, k
-
+    # b <= c and a <= c make both ranges nonempty; min over (value, k)
+    # pairs takes the smallest k among equal values
+    s1, k1 = min((Fraction(1, b) + Fraction(_ceildiv(k * b, a), k * b), k)
+                 for k in range(1, c // b + 1))
+    s2, k2 = min((Fraction(1, a) + Fraction(_ceildiv(k * a, b), k * a), k)
+                 for k in range(1, c // a + 1))
     s3 = Fraction(_ceildiv(c, a) + _ceildiv(c, b), c)
-    assert s1 is not None and s2 is not None  # b <= c and a <= c force both ranges
     return SValues(s1=s1, s2=s2, s3=s3, k1=k1, k2=k2)
 
 

@@ -68,7 +68,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_PARSE)
 
 
-def _resolve_max_bound(args) -> int:
+def _resolve_max_bound(args) -> int | None:
+    """--max-bound, else $THRESHOLDKIT_MAX_BOUND, else None (ct_diagram's default)."""
     if args.max_bound is not None:
         return args.max_bound
     env = os.environ.get(ENV_MAX_BOUND)
@@ -77,7 +78,7 @@ def _resolve_max_bound(args) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"{ENV_MAX_BOUND} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_BOUND
+    return None
 
 
 def _load_diagram(source: str, variables: Sequence[str] | None) -> NewtonDiagram:
@@ -228,7 +229,7 @@ class SweepRecord:
         ]
 
 
-def _sweep_triple(job: tuple[int, int, int, int]) -> SweepRecord:
+def _sweep_triple(job: tuple[int, int, int, int | None]) -> SweepRecord:
     a, b, c, max_bound = job
     closed = brieskorn_threshold(a, b, c)
     diagram = from_points([(a, 0, 0), (0, b, 0), (0, 0, c)], 3)
@@ -247,9 +248,8 @@ def _sweep_triple(job: tuple[int, int, int, int]) -> SweepRecord:
 def sweep_records(max_exponent: int, max_bound: int | None = None,
                   parallel: int | None = None) -> list[SweepRecord]:
     """One record per triple 2 <= a <= b <= c <= max_exponent, in order."""
-    bound = DEFAULT_MAX_BOUND if max_bound is None else max_bound
     jobs = [
-        (a, b, c, bound)
+        (a, b, c, max_bound)
         for a in range(2, max_exponent + 1)
         for b in range(a, max_exponent + 1)
         for c in range(b, max_exponent + 1)
@@ -306,7 +306,7 @@ def _cmd_sweep(args) -> int:
 # batch
 # ---------------------------------------------------------------------------
 
-def _batch_line(job: tuple[str, int]) -> dict:
+def _batch_line(job: tuple[str, int | None]) -> dict:
     line, max_bound = job
     try:
         obj = json.loads(line)

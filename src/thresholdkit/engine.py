@@ -34,10 +34,12 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .lattice import (
+    InadmissibleWeightError,
     WeightVector,
     check_admissible_weight,
     fraction_to_json,
     maximin_lp,
+    primitive,
 )
 from .newton import NewtonDiagram, weight_of
 
@@ -213,12 +215,10 @@ def _ray_seed(direction: tuple[Fraction, ...]) -> WeightVector | None:
     vector is not admissible).
     """
     scale = math.lcm(*(u.denominator for u in direction))
-    vec = tuple(int(u * scale) for u in direction)
-    g = math.gcd(*vec)
-    vec = tuple(x // g for x in vec)
-    if sum(vec) == 1:
+    try:
+        return primitive(tuple(int(u * scale) for u in direction))
+    except InadmissibleWeightError:
         return None
-    return vec
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -242,9 +242,9 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     cap, the report carries status "bound-exceeded" and the best value
     found so far, which is always a correct upper bound.
     """
-    cap = DEFAULT_MAX_BOUND if max_bound is None else int(max_bound)
-    if cap < 2:
-        raise ValueError(f"max_bound must be at least 2, got {cap}")
+    cap = DEFAULT_MAX_BOUND if max_bound is None else max_bound
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
+        raise ValueError(f"max_bound must be an integer >= 2, got {cap!r}")
     _check_no_unit(diagram)
 
     n = diagram.dimension

@@ -43,7 +43,6 @@ __all__ = [
     "maximin_lp",
     "lp_feasible",
     "fraction_to_json",
-    "fraction_from_json",
 ]
 
 
@@ -78,10 +77,6 @@ def fraction_to_json(q: Fraction | int) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
-
-
 # ---------------------------------------------------------------------------
 # exponent vectors and supports
 # ---------------------------------------------------------------------------
@@ -93,13 +88,17 @@ def _check_dimension(n: int) -> None:
         )
 
 
-def _check_exponent_vector(m: Sequence[int], n: int) -> ExponentVector:
-    t = tuple(m)
-    if len(t) != n:
-        raise DimensionMismatchError(f"exponent vector {t} has length {len(t)}, expected {n}")
-    for x in t:
-        if not isinstance(x, int) or x < 0:
-            raise ValueError(f"exponent vector {t} has a non-integer or negative entry")
+def _check_vector(v: Sequence[int], n: int | None, label: str = "exponent vector",
+                  error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """The one validity rule for exponent and weight vectors: a tuple of
+    length n (any length when n is None) whose entries are ints >= 0, bools
+    excluded.  A wrong length raises DimensionMismatchError, a bad entry
+    ``error``; messages name the vector by ``label``."""
+    t = tuple(v)
+    if n is not None and len(t) != n:
+        raise DimensionMismatchError(f"{label} {t} has length {len(t)}, expected {n}")
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in t):
+        raise error(f"{label} {t} has a non-integer or negative entry")
     return t
 
 
@@ -112,7 +111,7 @@ class SupportSet:
 
     def __post_init__(self):
         _check_dimension(self.dimension)
-        pts = frozenset(_check_exponent_vector(p, self.dimension) for p in self.points)
+        pts = frozenset(_check_vector(p, self.dimension) for p in self.points)
         if not pts:
             raise ValueError("support set must be nonempty")
         object.__setattr__(self, "points", pts)
@@ -129,25 +128,18 @@ class SupportSet:
 def primitive(v: Sequence[int]) -> WeightVector:
     """Divide a nonnegative integer vector by the gcd of its coordinates.
 
-    Rejects, through check_admissible_weight, everything that is not a
-    positive multiple of an admissible weight: negative or non-integer
-    entries, the zero vector and multiples of standard unit vectors.
+    Rejects with InadmissibleWeightError, as check_admissible_weight does,
+    everything that is not a positive multiple of an admissible weight:
+    negative, bool or non-integer entries, the zero vector and multiples of
+    standard unit vectors.
     """
-    t = tuple(v)
-    if all(isinstance(x, int) for x in t):
-        g = math.gcd(*t)
-        if g > 1:
-            t = tuple(x // g for x in t)
-    return check_admissible_weight(t)
+    t = _check_vector(v, None, "weight vector", InadmissibleWeightError)
+    g = math.gcd(*t)
+    return check_admissible_weight(tuple(x // g for x in t) if g > 1 else t)
 
 
 def check_admissible_weight(w: Sequence[int], dimension: int | None = None) -> WeightVector:
-    t = tuple(w)
-    if dimension is not None and len(t) != dimension:
-        raise DimensionMismatchError(f"weight vector {t} has length {len(t)}, expected {dimension}")
-    for x in t:
-        if not isinstance(x, int) or x < 0:
-            raise InadmissibleWeightError(f"weight vector {t} has a non-integer or negative entry")
+    t = _check_vector(w, dimension, "weight vector", InadmissibleWeightError)
     g = math.gcd(*t)
     if g == 0:
         raise InadmissibleWeightError("zero vector is not an admissible weight")
@@ -178,8 +170,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             bad_pos = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
-        if m.lastgroup is None:
-            break
         tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens

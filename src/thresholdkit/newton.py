@@ -17,6 +17,8 @@ from .lattice import (
     DimensionMismatchError,
     ExponentVector,
     SupportSet,
+    _check_dimension,
+    _check_vector,
     lp_feasible,
 )
 
@@ -58,16 +60,10 @@ class NewtonDiagram:
     generators: tuple[ExponentVector, ...]
 
     def __post_init__(self):
-        gens = tuple(sorted(tuple(g) for g in self.generators))
+        _check_dimension(self.dimension)
+        gens = tuple(sorted(_check_vector(g, self.dimension, "generator") for g in self.generators))
         if not gens:
             raise ValueError("diagram must have at least one generator")
-        for g in gens:
-            if len(g) != self.dimension:
-                raise DimensionMismatchError(
-                    f"generator {g} has length {len(g)}, expected {self.dimension}"
-                )
-            if any(not isinstance(x, int) or x < 0 for x in g):
-                raise ValueError(f"generator {g} has a non-integer or negative entry")
         for g in gens:
             for h_ in gens:
                 if g != h_ and _dominates(g, h_):
@@ -94,13 +90,7 @@ def weight_of(diagram: NewtonDiagram, weights: Sequence[int]) -> int:
     Minimality of the generators suffices; dominated points never lower the
     minimum for nonnegative weights.
     """
-    w = tuple(weights)
-    if len(w) != diagram.dimension:
-        raise DimensionMismatchError(
-            f"weight vector {w} has length {len(w)}, expected {diagram.dimension}"
-        )
-    if any(not isinstance(x, int) or x < 0 for x in w):
-        raise ValueError(f"weight vector {w} has a non-integer or negative entry")
+    w = _check_vector(weights, diagram.dimension, "weight vector")
     return min(sum(wi * mi for wi, mi in zip(w, m)) for m in diagram.generators)
 
 

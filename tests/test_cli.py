@@ -1,9 +1,12 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
+import thresholdkit.cli as cli
 from thresholdkit.cli import main, SWEEP_COLUMNS
 
 
@@ -126,6 +129,23 @@ def test_brieskorn_verify_agrees(capsys):
     assert code == 0
     assert "value: 5/6" in out
     assert "case: lcm-rule" in out
+
+
+def test_brieskorn_verify_bound_exceeded_exits_3(capsys):
+    code, out, err = run(capsys, "brieskorn", "2", "3", "97", "--verify", "--max-bound", "10")
+    assert code == 3
+    assert out == ""
+    assert "engine search bound exceeded during --verify" in err
+
+
+def test_brieskorn_verify_mismatch_exits_4(capsys, monkeypatch):
+    real = cli.brieskorn_threshold
+    monkeypatch.setattr(cli, "brieskorn_threshold",
+                        lambda a, b, c: dataclasses.replace(real(a, b, c), value=Fraction(1, 2)))
+    code, out, err = run(capsys, "brieskorn", "2", "3", "6", "--verify")
+    assert code == 4
+    assert out == ""
+    assert "closed form 1/2 disagrees with engine 5/6" in err
 
 
 def test_brieskorn_bad_arguments_exit_1(capsys):

@@ -163,8 +163,10 @@ def test_ct_bound_exceeded_is_partial_but_safe():
 
 
 def test_ct_max_bound_validation():
-    with pytest.raises(ValueError):
-        ct_diagram(diagram("x^2+y^2+z^2"), max_bound=1)
+    # a float cap is not truncated and a bool is not taken for 0 or 1
+    for cap in (1, 2.9, True):
+        with pytest.raises(ValueError):
+            ct_diagram(diagram("x^2+y^2+z^2"), max_bound=cap)
 
 
 def test_ct_permutation_of_coordinates():

@@ -1,5 +1,6 @@
 """Exact arithmetic, parsing, and the maximin LP kernel."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -65,7 +66,7 @@ def test_primitive_rejects_zero():
         primitive((0, 0, 0))
 
 
-@pytest.mark.parametrize("v", [(-1, 2, 1), (1.0, 2, 1), (0, 0, 0), (3, 0, 0)])
+@pytest.mark.parametrize("v", [(-1, 2, 1), (1.0, 2, 1), (0, 0, 0), (3, 0, 0), (True, 1, 0)])
 def test_primitive_rejects_like_check_admissible_weight(v):
     for validate in (primitive, check_admissible_weight):
         with pytest.raises(InadmissibleWeightError):
@@ -361,6 +362,16 @@ def test_maximin_rejects_corrupt_vertex_under_optimize():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected"
+
+
+def test_no_assert_statement_in_package():
+    # invariants must be explicit raises, which python -O keeps
+    package = Path(__file__).resolve().parents[1] / "src" / "thresholdkit"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,17 @@ def test_direct_construction_rejects_unreduced():
         NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 1, 0)))
 
 
+def test_direct_construction_validates_like_support_set():
+    # the supported range is 2 through 8; in dimension 1 no weight is admissible
+    for n, gens in [(1, ((3,),)), (9, ((1,) * 9,))]:
+        with pytest.raises(DimensionMismatchError):
+            NewtonDiagram(dimension=n, generators=gens)
+    # entries are checked before the generators are sorted
+    for bad in [(True, 0, 0), ("a", 0, 0)]:
+        with pytest.raises(ValueError):
+            NewtonDiagram(dimension=3, generators=(bad, (0, 2, 0)))
+
+
 @st.composite
 def support_sets(draw, dimension=3):
     pts = draw(st.sets(
@@ -91,6 +102,12 @@ def test_weight_of_orthogonal_weight():
 def test_weight_of_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         weight_of(diagram("x^2+y^2"), (1, 1, 1, 1))
+
+
+def test_weight_of_rejects_bad_entry():
+    for w in [(-1, 1, 1), (1.0, 1, 1), (True, 1, 1)]:
+        with pytest.raises(ValueError):
+            weight_of(diagram("x^2+y^3+z^5"), w)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +299,7 @@ def test_diagram_json_rejects_bad_shape():
         {"n": 3, "points": 5},
         {"n": 3, "points": [1, 2]},
         {"n": None, "points": [[1, 0]]},
+        {"n": 3, "points": [[True, 0, 0], [0, 2, 0], [0, 0, 3]]},
     ]:
         with pytest.raises(ValueError):
             diagram_from_json(obj)
