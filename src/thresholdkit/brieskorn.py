@@ -163,6 +163,6 @@ def lct_brieskorn(exponents: Sequence[int]) -> Fraction:
     if not exps:
         raise ValueError("exponent list must be nonempty")
     for e in exps:
-        if not isinstance(e, int) or e < 1:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 1:
             raise ValueError(f"exponents must be integers >= 1, got {e!r}")
     return min(Fraction(1), sum(Fraction(1, e) for e in exps))

@@ -107,6 +107,16 @@ def _report_exit(report: ThresholdReport) -> int:
     return EXIT_OK if report.status == STATUS_COMPLETE else EXIT_BOUND
 
 
+def _map(fn, jobs: list, parallel: int | None, chunksize: int = 1) -> list:
+    """fn over jobs, in order: serially, or in a process pool with at most
+    one worker per job and per CPU when that allows two or more."""
+    workers = min(parallel or 1, len(jobs), os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
+
+
 def _split_vars(names: str | None) -> tuple[str, ...] | None:
     if names is None:
         return None
@@ -254,10 +264,7 @@ def sweep_records(max_exponent: int, max_bound: int | None = None,
         for b in range(a, max_exponent + 1)
         for c in range(b, max_exponent + 1)
     ]
-    if parallel and parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_sweep_triple, jobs, chunksize=64))
-    return [_sweep_triple(job) for job in jobs]
+    return _map(_sweep_triple, jobs, parallel, chunksize=64)
 
 
 def check_sweep(records: Iterable[SweepRecord]) -> tuple[list[str], set[Fraction]]:
@@ -330,11 +337,7 @@ def _cmd_batch(args) -> int:
         lines = [line.strip() for line in fh if line.strip()]
     bound = _resolve_max_bound(args)
     jobs = [(line, bound) for line in lines]
-    if args.parallel and args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_batch_line, jobs))
-    else:
-        results = [_batch_line(job) for job in jobs]
+    results = _map(_batch_line, jobs, args.parallel)
 
     payload = "".join(json.dumps(r) + "\n" for r in results)
     if args.out:
@@ -406,7 +409,7 @@ _OPTIONS = {
                         help=f"search cap on |w|_1 (default {DEFAULT_MAX_BOUND}, "
                              f"or ${ENV_MAX_BOUND})"),
     "--parallel": dict(type=int, default=None, metavar="N",
-                       help="number of worker processes"),
+                       help="at most N worker processes, one per job and per CPU"),
     "--vars": dict(default=None, help="comma-separated variable names, e.g. x,y"),
 }
 

@@ -27,6 +27,7 @@ at the configured cap and reports a partial result rather than a wrong one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,36 +72,20 @@ class SearchBoundExceededError(RuntimeError):
     """An exact answer was required but the weight search hit its cap."""
 
 
+@functools.total_ordering
 class _PlusInfinity:
-    """Exact stand-in for +infinity; compares above every Fraction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Exact stand-in for +infinity; compares above every Fraction.  The
+    module holds the one instance; equality and hash are by identity."""
 
     def __repr__(self):
         return "+inf"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("thresholdkit.INFINITY")
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return other is self
+    def __reduce__(self):
+        # pickle and copy give back the module's instance
+        return "INFINITY"
 
 
 INFINITY = _PlusInfinity()
@@ -191,6 +176,13 @@ class _Best:
         )
 
 
+def _check_cap(value, name: str) -> int:
+    """A search cap on |w|_1 or on the box side: a non-bool int >= 2."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+    return value
+
+
 def _check_no_unit(diagram: NewtonDiagram) -> None:
     origin = (0,) * diagram.dimension
     if origin in diagram.generators:
@@ -242,9 +234,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     cap, the report carries status "bound-exceeded" and the best value
     found so far, which is always a correct upper bound.
     """
-    cap = DEFAULT_MAX_BOUND if max_bound is None else max_bound
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 2:
-        raise ValueError(f"max_bound must be an integer >= 2, got {cap!r}")
+    cap = _check_cap(DEFAULT_MAX_BOUND if max_bound is None else max_bound, "max_bound")
     _check_no_unit(diagram)
 
     n = diagram.dimension
@@ -331,8 +321,7 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     completeness claim is made beyond the box, whose size is recorded in
     search_bound.
     """
-    if cap < 2:
-        raise ValueError(f"cap must be at least 2, got {cap}")
+    _check_cap(cap, "cap")
     _check_no_unit(diagram)
     n = diagram.dimension
     gens = diagram.generators

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
 ExponentVector = tuple[int, ...]
 WeightVector = tuple[int, ...]
 
@@ -27,7 +26,6 @@ MAX_DIMENSION = 8
 MIN_DIMENSION = 2
 
 __all__ = [
-    "Rational",
     "ExponentVector",
     "WeightVector",
     "MAX_DIMENSION",
@@ -200,12 +198,6 @@ class _Parser:
         tok = self.peek()
         self.idx += 1
         return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.take()
 
     def parse(self) -> list[tuple[Fraction, dict[str, int]]]:
         if not self.tokens:

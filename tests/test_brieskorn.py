@@ -190,8 +190,9 @@ def test_lct_rejects_empty():
 
 
 def test_lct_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        lct_brieskorn([2, 0, 3])
+    for exponents in ([2, 0, 3], [True, 2]):
+        with pytest.raises(ValueError, match="exponents must be integers >= 1"):
+            lct_brieskorn(exponents)
 
 
 def test_lct_matches_lp_on_small_triples():

@@ -1,8 +1,11 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +72,11 @@ def test_ct_env_var_controls_bound(capsys, monkeypatch):
     monkeypatch.setenv("THRESHOLDKIT_MAX_BOUND", "8")
     code, out, _ = run(capsys, "ct", "x^5")
     assert code == 3
+    monkeypatch.setenv("THRESHOLDKIT_MAX_BOUND", "abc")
+    code, out, err = run(capsys, "ct", "x^5")
+    assert code == 1
+    assert out == ""
+    assert "THRESHOLDKIT_MAX_BOUND must be an integer, got 'abc'" in err
     monkeypatch.delenv("THRESHOLDKIT_MAX_BOUND")
 
 
@@ -103,6 +111,9 @@ def test_lct_text(capsys):
     code, out, _ = run(capsys, "lct", "x^3+y^7+z^11")
     assert code == 0
     assert out.strip() == "131/231"
+    code, out, _ = run(capsys, "lct", "x^3+y^7+z^11", "--json")
+    assert code == 0
+    assert out == '{"value": {"num": 131, "den": 231}}\n'
 
 
 def test_lct_boundary(capsys):
@@ -164,6 +175,15 @@ def test_brieskorn_json(capsys):
     obj = json.loads(out)
     assert obj["value"] == {"num": 1, "den": 1}
     assert obj["case"] == "lcm-rule"
+    assert "s_values" not in obj
+    code, out, _ = run(capsys, "brieskorn", "5", "6", "29", "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["case"] == "s1"
+    assert obj["s_values"] == {
+        "s1": {"num": 3, "den": 8}, "s2": {"num": 2, "den": 5},
+        "s3": {"num": 11, "den": 29}, "k1": 4, "k2": 1,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +254,14 @@ def test_batch_empty_file(tmp_path, capsys):
 
 def test_batch_error_line(tmp_path, capsys):
     path = tmp_path / "jobs.jsonl"
-    path.write_text('"x^0"\n"x^2+y^2+z^2"\n')
+    path.write_text('"x^0"\n"x^2+y^2+z^2"\nnot json\n5\n')
     code, out, _ = run(capsys, "batch", str(path))
     assert code == 1
     results = [json.loads(line) for line in out.strip().split("\n")]
     assert "error" in results[0]
     assert results[1]["value"] == {"num": 1, "den": 1}
+    assert results[2]["error"].startswith("invalid JSON: ")
+    assert results[3] == {"error": "line must be a polynomial string or a diagram object"}
 
 
 def test_batch_diagram_objects(tmp_path, capsys):
@@ -268,6 +290,42 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     code_p, parallel, _ = run(capsys, "batch", str(jobs), "--parallel", "2")
     assert code_s == code_p == 1
     assert serial == parallel
+
+
+def test_parallel_workers_bounded_by_jobs_and_cpus(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class RecordingPool:
+        """Records max_workers and maps in-process: no process is started."""
+
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('"x^3+y^7+z^11"\n"x^2+y^3+z^6"\n')
+    _, serial, _ = run(capsys, "batch", str(jobs))
+    code, parallel, _ = run(capsys, "batch", str(jobs), "--parallel", "64")
+    assert code == 0
+    assert parallel == serial
+    assert built == [2]
+    code, _, _ = run(capsys, "sweep", "2", "--parallel", "64")  # one triple
+    assert code == 0
+    assert built == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    code, _, _ = run(capsys, "batch", str(jobs), "--parallel", "64")
+    assert code == 0
+    assert built == [2]
 
 
 def test_batch_malformed_diagram_line_is_per_line_error(tmp_path, capsys):
@@ -305,6 +363,9 @@ def test_verify_false(capsys):
     assert code == 4
     assert "not certified" in out
     assert "(2,1,1)" in out
+    code, out, _ = run(capsys, "verify", "x+y+z", "1/2")
+    assert code == 4
+    assert out == "not certified: threshold is 1 (clamped), not 1/2\n"
 
 
 def test_verify_json(capsys):
@@ -318,6 +379,17 @@ def test_verify_json(capsys):
 def test_verify_bad_threshold(capsys):
     code, _, _ = run(capsys, "verify", "x^2+y^2+z^2", "7/5")
     assert code == 1
+    code, out, err = run(capsys, "verify", "x^2+y^2+z^2", "abc")
+    assert code == 1
+    assert out == ""
+    assert "not a fraction: 'abc'" in err
+
+
+def test_verify_bound_exceeded_exits_3(capsys):
+    code, out, err = run(capsys, "verify", "x^5", "1/2", "--max-bound", "8")
+    assert code == 3
+    assert out == ""
+    assert "weight search exceeded bound 8; cannot certify" in err
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +411,23 @@ def test_option_not_taken_by_subcommand_exits_1(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out == ""
+
+
+def test_documented_options_match_parser():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actual = {
+        name: {opt for action in sub._actions for opt in action.option_strings
+               if opt not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
+             for m in re.finditer(r"^\| `(\w+)` +\|(.*)\|$", readme, re.M)}
+    docstring = {m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
+                 for m in re.finditer(r"^    (\w+) [^-\n]*(--.*)$", cli.__doc__, re.M)}
+    assert table == actual
+    assert docstring == actual
 
 
 def test_missing_arguments_exit_1(capsys):

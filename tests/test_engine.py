@@ -1,5 +1,7 @@
 """Threshold search: worked singularities, oracles, and search invariants."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -76,6 +78,16 @@ def test_infinity_ordering():
     assert not (INFINITY < F(1))
     assert INFINITY == INFINITY
     assert INFINITY != F(1)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY
+    assert copy.copy(INFINITY) is INFINITY
+    assert copy.deepcopy(INFINITY) is INFINITY
+    assert INFINITY <= INFINITY
+    assert INFINITY >= INFINITY
+    assert not (INFINITY > INFINITY)
+    assert not (INFINITY <= F(10**9))
+    assert INFINITY >= F(10**9)
+    assert INFINITY > F(0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +177,11 @@ def test_ct_bound_exceeded_is_partial_but_safe():
 def test_ct_max_bound_validation():
     # a float cap is not truncated and a bool is not taken for 0 or 1
     for cap in (1, 2.9, True):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_bound must be an integer >= 2"):
             ct_diagram(diagram("x^2+y^2+z^2"), max_bound=cap)
+    for cap in (1, 9.0, True):
+        with pytest.raises(ValueError, match="cap must be an integer >= 2"):
+            ct_bruteforce(diagram("x^2+y^3+z^5"), cap)
 
 
 def test_ct_permutation_of_coordinates():

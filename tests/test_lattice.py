@@ -1,6 +1,7 @@
 """Exact arithmetic, parsing, and the maximin LP kernel."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thresholdkit
 from thresholdkit import (
     DimensionMismatchError,
     InadmissibleWeightError,
@@ -372,6 +374,13 @@ def test_no_assert_statement_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_exports_every_module_all():
+    for module in ("lattice", "newton", "engine", "brieskorn", "blowup"):
+        mod = importlib.import_module(f"thresholdkit.{module}")
+        for name in mod.__all__:
+            assert getattr(thresholdkit, name) is getattr(mod, name), f"{module}.{name}"
 
 
 # ---------------------------------------------------------------------------
