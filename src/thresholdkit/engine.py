@@ -23,6 +23,15 @@ which primes the bound whenever that vector is admissible.  Degenerate
 diagrams whose optimal direction is a unit vector (e.g. a single generator
 on a coordinate axis) may admit no vector below r*; the search then stops
 at the configured cap and reports a partial result rather than a wrong one.
+
+Within a level, a depth-first search fixes one coordinate at a time, in
+lexicographic order.  A vector ties or beats the best value so far only if
+<w, m> >= need = ceil((|w|_1 - 1) / best) for every generator m.  With a
+prefix fixed and x the next coordinate, <w, m> is at most the prefix's dot
+product plus x * m_k + (rest - x) * max_{j>k} m_j, linear in x, so the x
+that keep every m in reach form one integer interval and the others are cut
+(branch and bound).  best only decreases, so a cut vector cannot tie the
+final value either: the witnesses are those of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattice import (
     InadmissibleWeightError,
@@ -101,7 +110,8 @@ class ThresholdReport:
                  raw minimum (empty when clamped), sorted lexicographically
     relaxation   r* = 1/t* from the maximin LP, unclamped
     search_bound the level bound L actually used (the cap if exceeded)
-    nodes        number of admissible weight vectors evaluated
+    nodes        number of admissible weight vectors evaluated (seeds and
+                 the vectors the cut inside each level leaves)
     status       "complete" or "bound-exceeded"
     """
 
@@ -213,24 +223,13 @@ def _ray_seed(direction: tuple[Fraction, ...]) -> WeightVector | None:
         return None
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All nonnegative integer vectors with the given coordinate sum, in
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> ThresholdReport:
     """Threshold of a diagram with complete witness list, by bounded search.
 
-    Enumerates admissible vectors level by level (levels are values of
-    |w|_1, vectors within a level in lexicographic order), shrinking the
-    level bound as the best value improves; see the module docstring for
-    why the bound is valid.  If the bound never becomes finite before the
+    Searches admissible vectors level by level (levels are values of
+    |w|_1), shrinking the level bound as the best value improves; see the
+    module docstring for why the bound is valid and why the cut inside a
+    level keeps every tie.  If the bound never becomes finite before the
     cap, the report carries status "bound-exceeded" and the best value
     found so far, which is always a correct upper bound.
     """
@@ -246,14 +245,15 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     best = _Best()
 
     def search_limit() -> int | None:
-        if best.den == 0:
-            return None
-        tau = Fraction(best.num, best.den)
-        if tau > 1:
-            tau = Fraction(1)
+        tau = min(Fraction(best.num, best.den), 1)
         if tau >= rstar:
             return None
         return max(2, math.ceil(rstar / (rstar - tau)))
+
+    def sandwich(w: WeightVector, wf: int) -> None:
+        # relaxation sandwich: wf <= |w|_1 * t*, broken by a t* below the optimum
+        if wf * tstar.denominator > sum(w) * tstar.numerator:
+            raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {sum(w) * tstar}")
 
     seeds: list[WeightVector] = []
     ray = _ray_seed(sol.direction)
@@ -264,6 +264,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
         seeds.append(ones)
     for w in seeds:
         wf = weight_of(diagram, w)
+        sandwich(w, wf)
         # the primitive vector on the optimal ray sits strictly under r*
         if w is ray and not (wf > 0 and Fraction(sum(w) - 1, wf) < rstar):
             raise AssertionError(f"optimal-ray seed {w} does not beat r* = {rstar}")
@@ -271,32 +272,51 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     seed_set = set(seeds)
     nodes = len(seeds)
 
-    gcd = math.gcd
-    ts_num = tstar.numerator
-    ts_den = tstar.denominator
+    cols = tuple(zip(*gens))
+    # tails[k][i]: largest entry of generator i after coordinate k
+    tails = [tuple(max(m[k + 1:]) for m in gens) for k in range(n - 1)]
+
+    def walk(k: int, head: tuple, partial: list, rest: int, g: int) -> None:
+        """Extend head (gcd g, dot products partial, rest of the level left)
+        by each x in the interval that the cut leaves for coordinate k."""
+        nonlocal nodes, need, improved
+        lo, hi = 0, rest
+        for p, mk, mt in zip(partial, cols[k], tails[k]):
+            d, c = mk - mt, need - p - rest * mt
+            if d > 0:
+                lo = max(lo, -(-c // d))
+            elif d < 0:
+                hi = min(hi, c // d)
+            elif c > 0:
+                return
+        if k < n - 2:
+            for x in range(lo, hi + 1):
+                walk(k + 1, head + (x,), [p + x * mk for p, mk in zip(partial, cols[k])],
+                     rest - x, math.gcd(g, x))
+            return
+        # the last coordinate takes the rest, so the interval is exact
+        for x in range(lo, hi + 1):
+            w = head + (x, rest - x)
+            if math.gcd(g, x, rest) != 1 or w in seed_set:
+                continue
+            nodes += 1
+            wf = min(p + x * a + (rest - x) * b for p, a, b in zip(partial, cols[k], cols[-1]))
+            sandwich(w, wf)
+            if wf >= need and best.offer(w, level - 1, wf):
+                improved = True
+                need = -(-(level - 1) * best.den // best.num)
+
     status = STATUS_COMPLETE
     limit = search_limit()
     level = 2
-    while True:
-        if limit is not None and level > limit:
-            break
+    while limit is None or level <= limit:
         if level > cap:
             status = STATUS_BOUND_EXCEEDED
             break
         improved = False
-        num = level - 1
-        best_num, best_den = best.num, best.den
-        for w in _compositions(level, n):
-            if gcd(*w) != 1 or w in seed_set:
-                continue
-            nodes += 1
-            wf = min(sum(wi * mi for wi, mi in zip(w, m)) for m in gens)
-            # relaxation sandwich: wf <= |w|_1 * t*
-            if wf * ts_den > level * ts_num:
-                raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {level * tstar}")
-            if num * best_den <= best_num * wf:
-                improved |= best.offer(w, num, wf)
-                best_num, best_den = best.num, best.den
+        # (level - 1) / wf ties or beats best iff wf >= need
+        need = -(-(level - 1) * best.den // best.num)
+        walk(0, (), [0] * len(gens), level, 0)
         if improved:
             limit = search_limit()
         level += 1

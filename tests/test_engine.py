@@ -1,6 +1,7 @@
 """Threshold search: worked singularities, oracles, and search invariants."""
 
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -394,3 +395,84 @@ def test_determinism_across_runs():
     first = ct_diagram(d)
     second = ct_diagram(d)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the cut inside each level
+# ---------------------------------------------------------------------------
+
+def _mixed_diagram(rng, n):
+    """Pure powers on some axes (each kept with probability 0.8) and up to
+    three mixed monomials, so that many diagrams are not convenient."""
+    top = 30 if n == 2 else 7
+    pts = [tuple(rng.randint(2, top) if j == i else 0 for j in range(n))
+           for i in range(n) if rng.random() < 0.8]
+    pts += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+    pts = [p for p in pts if any(p)] or [(1,) * n]
+    return from_points(pts, n)
+
+
+def _convenient(d):
+    return all(any(sum(g) == g[i] for g in d.generators) for i in range(d.dimension))
+
+
+@pytest.mark.parametrize("n, box, seed", [(2, 60, 5), (3, 16, 7), (4, 10, 6)])
+def test_bruteforce_matches_engine_on_mixed_diagrams(n, box, seed):
+    rng = random.Random(seed)
+    checked = non_convenient = tied = 0
+    while checked < 80:
+        d = _mixed_diagram(rng, n)
+        engine = ct_diagram(d, max_bound=box)
+        if engine.status != "complete":
+            continue
+        checked += 1
+        non_convenient += not engine.clamped and not _convenient(d)
+        tied += len(engine.witnesses) >= 2
+        oracle = ct_bruteforce(d, engine.search_bound)
+        assert (oracle.value, oracle.witnesses) == (engine.value, engine.witnesses), d
+    assert non_convenient >= 10 and tied >= 10
+
+
+@pytest.mark.parametrize("pts", [
+    [(2, 0), (0, 41)],                                      # 20 tied witnesses
+    [(2, 0), (1, 5), (0, 40)],
+    [(1, 2, 0), (0, 0, 7)],                                 # not convenient
+    [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 11)],
+    [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 9, 0), (0, 0, 0, 9)],  # 4 tied witnesses
+])
+def test_bruteforce_matches_engine_at_deeper_bounds(pts):
+    d = from_points(pts, len(pts[0]))
+    engine = ct_diagram(d)
+    assert engine.status == "complete"
+    oracle = ct_bruteforce(d, engine.search_bound)
+    assert (oracle.value, oracle.witnesses) == (engine.value, engine.witnesses)
+
+
+def test_cut_keeps_search_work_small():
+    # node counts are machine-independent; the exhaustive listing of every
+    # composition took 80 729 and 24 432 nodes on the first two
+    assert ct_diagram(diagram("x^2+y^3+z^97")).nodes <= 100
+    assert ct_diagram(diagram("x^3+y^7+z^11+w^13")).nodes <= 50
+    deep = ct_diagram(diagram("x^2+y^3+z^500"))
+    assert deep.status == "complete"
+    assert deep.value == ct_brieskorn3(BrieskornTriple(2, 3, 500)).value
+    # a search that cannot close costs work linear in the cap
+    stalled = ct_diagram(from_points([(5, 0, 0)], 3), max_bound=2000)
+    assert stalled.status == "bound-exceeded" and stalled.value == F(1, 5)
+    assert stalled.nodes <= 2 * 2000
+
+
+def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):
+    # maximin_lp checks that its vertex is feasible and tight, not that it
+    # is optimal; wf <= |w|_1 * t* on the seeds rejects a t* that is too small
+    import thresholdkit.engine as engine
+
+    real = engine.maximin_lp
+
+    def halved(gens, n):
+        sol = real(gens, n)
+        return dataclasses.replace(sol, value=sol.value / 2)
+
+    monkeypatch.setattr(engine, "maximin_lp", halved)
+    with pytest.raises(AssertionError, match="exceeds"):
+        ct_diagram(diagram("x^3+y^7+z^11"))
