@@ -2,7 +2,9 @@
 maximin linear-programming kernel.
 
 Everything in this module is pure and exact: values are Python ints and
-``fractions.Fraction``; no floats enter at any point.  The LP solver is a
+``fractions.Fraction``; no floats enter at any point.  Each LP is stated as
+rows ``(coefficients, relation, rhs)`` over nonnegative variables and solved
+by ``_solve_standard``, the one function that builds a tableau: a
 dense two-phase simplex over Fractions using Bland's anti-cycling pivot rule
 (entering variable: lowest index with positive reduced cost; leaving
 variable: lowest basis index among minimal ratios), so it terminates on
@@ -367,26 +369,22 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
 # exact simplex
 # ---------------------------------------------------------------------------
 
-class _Unbounded(Exception):
-    pass
-
-
-class _Infeasible(Exception):
-    pass
+def _eliminate(row: list[Fraction], pivot_row: list[Fraction], col: int) -> list[Fraction]:
+    """Subtract the multiple of pivot_row (which has 1 in col) that clears row[col]."""
+    f = row[col]
+    if f == 0:
+        return row
+    return [x - f * p for x, p in zip(row, pivot_row)]
 
 
 def _pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int],
            r: int, c: int) -> None:
     piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
-    prow = rows[r]
-    for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [x - f * p for x, p in zip(row, prow)]
-    if cost[c] != 0:
-        f = cost[c]
-        cost[:] = [x - f * p for x, p in zip(cost, prow)]
+    rows[r] = prow = [x / piv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r:
+            rows[i] = _eliminate(rows[i], prow, c)
+    cost[:] = _eliminate(cost, prow, c)
     basis[r] = c
 
 
@@ -397,47 +395,44 @@ def _bland_simplex(rows: list[list[Fraction]], cost: list[Fraction], basis: list
         enter = next((j for j in range(ncols) if cost[j] > 0), None)
         if enter is None:
             return
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                key = (row[-1] / a, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
-        if leave is None:
-            raise _Unbounded
-        _pivot(rows, cost, basis, leave, enter)
+        # ratio test; basis indices are distinct, so ties never reach the row index
+        ratios = [(row[-1] / row[enter], basis[i], i)
+                  for i, row in enumerate(rows) if row[enter] > 0]
+        if not ratios:
+            raise AssertionError("unbounded LP; phase 1 and every caller's phase 2 are bounded")
+        _pivot(rows, cost, basis, min(ratios)[2], enter)
 
 
-def _solve_standard(A: list[list[Fraction]], b: list[Fraction],
-                    c: list[Fraction]) -> tuple[list[Fraction], Fraction]:
-    """Maximize c.x subject to A x = b, x >= 0.  Returns (x, objective)."""
-    m = len(A)
-    k = len(c)
+def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
+                    objective: Sequence[Fraction | int]) -> tuple[list[Fraction], Fraction] | None:
+    """Maximize objective.x over x >= 0 subject to rows (coeffs, rel, rhs).
+
+    Returns (x, value) over the caller's variables, None if infeasible.  Each
+    inequality gets a slack column in row order; entries become Fractions once.
+    """
+    nvars = len(objective)
+    m = len(constraints)
+    k = nvars + sum(1 for _, rel, _ in constraints if rel != "=")
+    zero, one = Fraction(0), Fraction(1)
     rows = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
+    slack = nvars
+    for i, (coeffs, rel, rhs) in enumerate(constraints):
+        row = [Fraction(x) for x in coeffs] + [zero] * (k - nvars + m) + [Fraction(rhs)]
+        if rel != "=":
+            row[slack] = one if rel == "<=" else -one
+            slack += 1
+        if row[-1] < 0:
             row = [-x for x in row]
-            rhs = -rhs
-        rows.append(row + [rhs])
+        row[k + i] = one
+        rows.append(row)
 
     # phase 1: artificial basis, maximize -(sum of artificials)
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        rows[i] = rows[i][:-1] + art + [rows[i][-1]]
     basis = [k + i for i in range(m)]
-    cost = [Fraction(0)] * (k + m + 1)
-    for j in range(k):
-        cost[j] = sum(rows[i][j] for i in range(m))
-    cost[-1] = sum(rows[i][-1] for i in range(m))
+    cost = [sum(row[j] for row in rows) for j in range(k)] + [zero] * m
+    cost.append(sum(row[-1] for row in rows))
     _bland_simplex(rows, cost, basis)
     if cost[-1] != 0:
-        raise _Infeasible
+        return None
 
     # drive artificials out of the basis; drop rows that became redundant
     for i in range(m - 1, -1, -1):
@@ -451,17 +446,13 @@ def _solve_standard(A: list[list[Fraction]], b: list[Fraction],
 
     # phase 2 on structural columns only
     rows = [row[:k] + [row[-1]] for row in rows]
-    cost = [Fraction(x) for x in c] + [Fraction(0)]
+    cost = [Fraction(x) for x in objective] + [zero] * (k - nvars + 1)
     for i, bi in enumerate(basis):
-        if cost[bi] != 0:
-            f = cost[bi]
-            cost = [x - f * p for x, p in zip(cost, rows[i])]
+        cost = _eliminate(cost, rows[i], bi)
     _bland_simplex(rows, cost, basis)
 
-    x = [Fraction(0)] * k
-    for i, bi in enumerate(basis):
-        x[bi] = rows[i][-1]
-    return x, -cost[-1]
+    x = dict(zip(basis, (row[-1] for row in rows)))
+    return [x.get(j, zero) for j in range(nvars)], -cost[-1]
 
 
 @dataclass(frozen=True)
@@ -478,29 +469,13 @@ def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
     Deterministic: generators are sorted before the tableau is built and the
     simplex uses Bland's rule, so the reported vertex never varies.
     """
-    gens = sorted(set(tuple(m) for m in generators))
+    gens = sorted({_check_vector(m, n, "generator") for m in generators})
     if not gens:
         raise ValueError("empty generator set")
-    for m in gens:
-        if len(m) != n:
-            raise DimensionMismatchError(f"generator {m} has length {len(m)}, expected {n}")
 
-    g = len(gens)
-    # columns: u_1..u_n, t, s_1..s_g
-    ncols = n + 1 + g
-    A = []
-    b = []
-    A.append([Fraction(1)] * n + [Fraction(0)] * (1 + g))
-    b.append(Fraction(1))
-    for i, m in enumerate(gens):
-        row = [Fraction(x) for x in m] + [Fraction(-1)] + [Fraction(0)] * g
-        row[n + 1 + i] = Fraction(-1)
-        A.append(row)
-        b.append(Fraction(0))
-    c = [Fraction(0)] * ncols
-    c[n] = Fraction(1)
-
-    x, value = _solve_standard(A, b, c)
+    # variables u_1..u_n, t; always feasible (u = e_1, t = 0)
+    rows = [((1,) * n + (0,), "=", 1)] + [(m + (-1,), ">=", 0) for m in gens]
+    x, value = _solve_standard(rows, (0,) * n + (1,))
     direction = tuple(x[:n])
 
     # the vertex must be a probability direction whose least weight is t
@@ -517,7 +492,7 @@ def lp_feasible(constraints: Iterable[tuple[Sequence[Fraction | int], str, Fract
     Each constraint is (coefficients, relation, rhs) with relation one of
     '<=', '=', '>='.  True iff some rational x >= 0 satisfies all of them.
     """
-    cons = [(list(map(Fraction, coeffs)), rel, Fraction(rhs)) for coeffs, rel, rhs in constraints]
+    cons = [(tuple(coeffs), rel, rhs) for coeffs, rel, rhs in constraints]
     if not cons:
         return True
     nvars = len(cons[0][0])
@@ -526,20 +501,4 @@ def lp_feasible(constraints: Iterable[tuple[Sequence[Fraction | int], str, Fract
             raise DimensionMismatchError("constraints have differing numbers of variables")
         if rel not in ("<=", "=", ">="):
             raise ValueError(f"unknown relation {rel!r}")
-
-    nslack = sum(1 for _, rel, _ in cons if rel != "=")
-    A = []
-    b = []
-    si = 0
-    for coeffs, rel, rhs in cons:
-        row = coeffs + [Fraction(0)] * nslack
-        if rel != "=":
-            row[nvars + si] = Fraction(1) if rel == "<=" else Fraction(-1)
-            si += 1
-        A.append(row)
-        b.append(rhs)
-    try:
-        _solve_standard(A, b, [Fraction(0)] * (nvars + nslack))
-    except _Infeasible:
-        return False
-    return True
+    return _solve_standard(cons, (0,) * nvars) is not None

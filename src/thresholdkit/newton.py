@@ -64,10 +64,8 @@ class NewtonDiagram:
         gens = tuple(sorted(_check_vector(g, self.dimension, "generator") for g in self.generators))
         if not gens:
             raise ValueError("diagram must have at least one generator")
-        for g in gens:
-            for h_ in gens:
-                if g != h_ and _dominates(g, h_):
-                    raise ValueError(f"generator {g} dominates {h_}; diagram is not reduced")
+        if _minimal_elements(gens) != gens:
+            raise ValueError(f"generators {gens} repeat or dominate one another; diagram is not reduced")
         object.__setattr__(self, "generators", gens)
 
 
@@ -101,15 +99,14 @@ def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> b
     the generators: exists lambda >= 0 with sum(lambda) = 1 and
     sum(lambda_m * m) <= point componentwise.
     """
-    p = tuple(Fraction(x) for x in point)
+    p = tuple(point)
     if len(p) != diagram.dimension:
         raise DimensionMismatchError(
             f"point {p} has length {len(p)}, expected {diagram.dimension}"
         )
     gens = diagram.generators
-    constraints = [([Fraction(1)] * len(gens), "=", Fraction(1))]
-    for i in range(diagram.dimension):
-        constraints.append(([Fraction(m[i]) for m in gens], "<=", p[i]))
+    constraints = [((1,) * len(gens), "=", 1)]
+    constraints += [([m[i] for m in gens], "<=", x) for i, x in enumerate(p)]
     return lp_feasible(constraints)
 
 

@@ -160,8 +160,10 @@ def test_brieskorn_verify_mismatch_exits_4(capsys, monkeypatch):
 
 
 def test_brieskorn_bad_arguments_exit_1(capsys):
-    code, _, err = run(capsys, "brieskorn", "1", "2", "3")
+    code, out, err = run(capsys, "brieskorn", "1", "2", "3")
     assert code == 1
+    assert out == ""
+    assert "exponents must satisfy 2 <= a <= b <= c, got (1, 2, 3)" in err
 
 
 def test_brieskorn_non_integer_exit_1(capsys):
@@ -377,8 +379,10 @@ def test_verify_json(capsys):
 
 
 def test_verify_bad_threshold(capsys):
-    code, _, _ = run(capsys, "verify", "x^2+y^2+z^2", "7/5")
+    code, out, err = run(capsys, "verify", "x^2+y^2+z^2", "7/5")
     assert code == 1
+    assert out == ""
+    assert "candidate threshold must lie in (0, 1], got 7/5" in err
     code, out, err = run(capsys, "verify", "x^2+y^2+z^2", "abc")
     assert code == 1
     assert out == ""

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from thresholdkit import (
     InadmissibleWeightError,
     ParseError,
     check_admissible_weight,
+    fraction_to_json,
     SupportSet,
     lp_feasible,
     maximin_lp,
@@ -336,6 +338,34 @@ def test_maximin_dimension_mismatch():
         maximin_lp({(1, 2)}, 3)
 
 
+def test_maximin_validates_generators_like_every_vector():
+    # fractional, bool and negative entries are refused before the LP runs
+    for bad in [(1.5, 0, 0), (True, 2, 0), (-1, 2, 0)]:
+        with pytest.raises(ValueError, match="non-integer or negative"):
+            maximin_lp([bad, (0, 2, 0)], 3)
+    with pytest.raises(DimensionMismatchError):
+        maximin_lp([(1, 2, 0), (0, 2)], 3)
+
+
+_VERTICES = Path(__file__).resolve().parent / "data" / "maximin_vertices.json"
+
+
+def test_maximin_vertex_is_pinned():
+    # Brieskorn triples 2 <= a <= b <= c <= 12 and seeded random 2- to
+    # 4-variable diagrams, with the (value, direction) the Fraction simplex
+    # returned on them; a new kernel must reach the same optimal vertex
+    entries = json.loads(_VERTICES.read_text(encoding="utf-8"))
+    assert len(entries) == 328
+    moved = []
+    for e in entries:
+        sol = maximin_lp([tuple(g) for g in e["points"]], e["n"])
+        got = {"value": fraction_to_json(sol.value),
+               "direction": [fraction_to_json(u) for u in sol.direction]}
+        if got != {"value": e["value"], "direction": e["direction"]}:
+            moved.append(f"{e['points']}: {got} != {e['value']}, {e['direction']}")
+    assert moved == []
+
+
 _CORRUPT_VERTEX = """
 import sys
 from fractions import Fraction
@@ -344,8 +374,8 @@ import thresholdkit.lattice as lattice
 assert False, "this script must run under python -O"
 solve = lattice._solve_standard
 
-def corrupted(A, b, c):
-    x, value = solve(A, b, c)
+def corrupted(*args):
+    x, value = solve(*args)
     x[0] += Fraction(1, 2)  # the direction no longer sums to 1
     return x, value
 

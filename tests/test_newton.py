@@ -65,6 +65,11 @@ def test_direct_construction_validates_like_support_set():
     for bad in [(True, 0, 0), ("a", 0, 0)]:
         with pytest.raises(ValueError):
             NewtonDiagram(dimension=3, generators=(bad, (0, 2, 0)))
+    # a repeated generator is refused like a dominated one
+    with pytest.raises(ValueError, match="diagram is not reduced"):
+        NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)))
+    with pytest.raises(ValueError, match="diagram is not reduced"):
+        NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 1, 0)))
 
 
 @st.composite
