@@ -274,7 +274,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
 
     cols = tuple(zip(*gens))
     # tails[k][i]: largest entry of generator i after coordinate k
-    tails = [tuple(max(m[k + 1:]) for m in gens) for k in range(n - 1)]
+    tails = [[max(m[k + 1:]) for m in gens] for k in range(n - 1)]
 
     def walk(k: int, head: tuple, partial: list, rest: int, g: int) -> None:
         """Extend head (gcd g, dot products partial, rest of the level left)

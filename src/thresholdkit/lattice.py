@@ -4,13 +4,13 @@ maximin linear-programming kernel.
 Everything in this module is pure and exact: values are Python ints and
 ``fractions.Fraction``; no floats enter at any point.  Each LP is stated as
 rows ``(coefficients, relation, rhs)`` over nonnegative variables and solved
-by ``_solve_standard``, the one function that builds a tableau: a
-dense two-phase simplex over Fractions using Bland's anti-cycling pivot rule
-(entering variable: lowest index with positive reduced cost; leaving
-variable: lowest basis index among minimal ratios), so it terminates on
-every input and produces the same optimal vertex on every run and platform.
-Problem sizes are tiny (dimension <= 8, at most a few hundred constraints),
-so no effort is spent on sparsity or revised-simplex bookkeeping.
+by ``_solve_standard``, the one function that builds a tableau: a dense
+two-phase simplex whose rows are integers over one common positive
+denominator, updated by fraction-free (Bareiss) pivoting.  Bland's rule
+(entering: lowest index with positive reduced cost; leaving: lowest basis
+index among minimal ratios) makes it terminate on every input and reach the
+same optimal vertex on every run and platform.  Problems are tiny
+(dimension <= 8, a few hundred constraints at most): no sparsity tricks.
 """
 
 from __future__ import annotations
@@ -369,68 +369,82 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _eliminate(row: list[Fraction], pivot_row: list[Fraction], col: int) -> list[Fraction]:
-    """Subtract the multiple of pivot_row (which has 1 in col) that clears row[col]."""
+def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int) -> list[int]:
+    """Fraction-free update (p*row - row[col]*pivot_row) / d for a pivot p over
+    denominator d > 0; exact, as every entry is a minor of the first tableau."""
     f = row[col]
-    if f == 0:
+    if f == 0 and p == d:
         return row
-    return [x - f * p for x, p in zip(row, pivot_row)]
+    new = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    # the floor remainders are >= 0, so all of them are 0 iff their sum is
+    if p * sum(row) - f * sum(pivot_row) != d * sum(new):
+        raise AssertionError(f"inexact fraction-free division by {d}")
+    return new
 
 
-def _pivot(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int],
-           r: int, c: int) -> None:
-    piv = rows[r][c]
-    rows[r] = prow = [x / piv for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r:
-            rows[i] = _eliminate(rows[i], prow, c)
-    cost[:] = _eliminate(cost, prow, c)
+def _pivot(rows: list[list[int]], cost: list[int], basis: list[int],
+           d: int, r: int, c: int) -> int:
+    """Pivot on (r, c) and return the new denominator |rows[r][c]|; negating a
+    negative pivot's row first negates the whole result, so d stays > 0."""
+    if rows[r][c] < 0:
+        rows[r] = [-x for x in rows[r]]
+    prow, p = rows[r], rows[r][c]
+    rows[:] = [row if i == r else _eliminate(row, prow, c, p, d) for i, row in enumerate(rows)]
+    cost[:] = _eliminate(cost, prow, c, p, d)
     basis[r] = c
+    return p
 
 
-def _bland_simplex(rows: list[list[Fraction]], cost: list[Fraction], basis: list[int]) -> None:
-    """Maximize in place.  cost[j] are reduced costs, cost[-1] is -(objective)."""
-    ncols = len(cost) - 1
+def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int], d: int) -> int:
+    """Maximize in place and return the final denominator.  cost[j] are
+    reduced costs, cost[-1] is -(objective), all over d > 0."""
     while True:
-        enter = next((j for j in range(ncols) if cost[j] > 0), None)
+        enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
         if enter is None:
-            return
-        # ratio test; basis indices are distinct, so ties never reach the row index
-        ratios = [(row[-1] / row[enter], basis[i], i)
-                  for i, row in enumerate(rows) if row[enter] > 0]
-        if not ratios:
+            return d
+        # ratio test by cross-multiplying; ties go to the lowest basis index
+        leave = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0 and (leave is None or (row[-1] * rows[leave][enter], basis[i])
+                                   < (rows[leave][-1] * row[enter], basis[leave])):
+                leave = i
+        if leave is None:
             raise AssertionError("unbounded LP; phase 1 and every caller's phase 2 are bounded")
-        _pivot(rows, cost, basis, min(ratios)[2], enter)
+        d = _pivot(rows, cost, basis, d, leave, enter)
 
 
 def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
-                    objective: Sequence[Fraction | int]) -> tuple[list[Fraction], Fraction] | None:
+                    objective: Sequence[int]) -> tuple[list[int], int, list[int], int] | None:
     """Maximize objective.x over x >= 0 subject to rows (coeffs, rel, rhs).
 
-    Returns (x, value) over the caller's variables, None if infeasible.  Each
-    inequality gets a slack column in row order; entries become Fractions once.
+    Returns (x over the caller's variables, value, the final reduced cost of
+    each inequality's slack column in row order, d), all but d integers over
+    the denominator d > 0, or None if infeasible.  A row with Fraction
+    entries is scaled by the lcm of their denominators.
     """
     nvars = len(objective)
     m = len(constraints)
     k = nvars + sum(1 for _, rel, _ in constraints if rel != "=")
-    zero, one = Fraction(0), Fraction(1)
     rows = []
     slack = nvars
     for i, (coeffs, rel, rhs) in enumerate(constraints):
-        row = [Fraction(x) for x in coeffs] + [zero] * (k - nvars + m) + [Fraction(rhs)]
+        row = [*coeffs, *[0] * (k - nvars + m), rhs]
+        if not all(type(x) is int for x in row):  # clear a Fraction row's denominators
+            scale = math.lcm(*[x.denominator for x in row])
+            row = [x.numerator * (scale // x.denominator) for x in row]
         if rel != "=":
-            row[slack] = one if rel == "<=" else -one
+            row[slack] = 1 if rel == "<=" else -1
             slack += 1
         if row[-1] < 0:
             row = [-x for x in row]
-        row[k + i] = one
+        row[k + i] = 1
         rows.append(row)
 
     # phase 1: artificial basis, maximize -(sum of artificials)
     basis = [k + i for i in range(m)]
-    cost = [sum(row[j] for row in rows) for j in range(k)] + [zero] * m
+    cost = [sum(row[j] for row in rows) for j in range(k)] + [0] * m
     cost.append(sum(row[-1] for row in rows))
-    _bland_simplex(rows, cost, basis)
+    d = _bland_simplex(rows, cost, basis, 1)
     if cost[-1] != 0:
         return None
 
@@ -442,17 +456,17 @@ def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, F
                 del rows[i]
                 del basis[i]
             else:
-                _pivot(rows, cost, basis, i, enter)
+                d = _pivot(rows, cost, basis, d, i, enter)
 
     # phase 2 on structural columns only
     rows = [row[:k] + [row[-1]] for row in rows]
-    cost = [Fraction(x) for x in objective] + [zero] * (k - nvars + 1)
+    cost = [d * x for x in objective] + [0] * (k - nvars + 1)
     for i, bi in enumerate(basis):
-        cost = _eliminate(cost, rows[i], bi)
-    _bland_simplex(rows, cost, basis)
+        cost = _eliminate(cost, rows[i], bi, d, d)
+    d = _bland_simplex(rows, cost, basis, d)
 
-    x = dict(zip(basis, (row[-1] for row in rows)))
-    return [x.get(j, zero) for j in range(nvars)], -cost[-1]
+    x = {bi: row[-1] for bi, row in zip(basis, rows)}
+    return [x.get(j, 0) for j in range(nvars)], -cost[-1], cost[nvars:k], d
 
 
 @dataclass(frozen=True)
@@ -475,15 +489,19 @@ def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
 
     # variables u_1..u_n, t; always feasible (u = e_1, t = 0)
     rows = [((1,) * n + (0,), "=", 1)] + [(m + (-1,), ">=", 0) for m in gens]
-    x, value = _solve_standard(rows, (0,) * n + (1,))
-    direction = tuple(x[:n])
+    x, t, slack_costs, d = _solve_standard(rows, (0,) * n + (1,))
+    u = x[:n]
 
-    # the vertex must be a probability direction whose least weight is t
-    weights = [sum(u * mi for u, mi in zip(direction, m)) for m in gens]
-    if not (sum(direction) == 1 and all(u >= 0 for u in direction)
-            and min(weights) == value):
-        raise AssertionError(f"simplex returned an invalid maximin vertex {direction}, t = {value}")
-    return MaximinSolution(value=value, direction=direction)
+    # over d: u is a probability direction whose least weight is t, and the
+    # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
+    weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
+    if not (sum(u) == d and all(ui >= 0 for ui in u) and min(weights) == t):
+        raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
+    lam = [-c for c in slack_costs]
+    p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
+    if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
+        raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
+    return MaximinSolution(value=Fraction(t, d), direction=tuple(Fraction(ui, d) for ui in u))
 
 
 def lp_feasible(constraints: Iterable[tuple[Sequence[Fraction | int], str, Fraction | int]]) -> bool:
@@ -496,9 +514,11 @@ def lp_feasible(constraints: Iterable[tuple[Sequence[Fraction | int], str, Fract
     if not cons:
         return True
     nvars = len(cons[0][0])
-    for coeffs, rel, _ in cons:
+    for coeffs, rel, rhs in cons:
         if len(coeffs) != nvars:
             raise DimensionMismatchError("constraints have differing numbers of variables")
         if rel not in ("<=", "=", ">="):
             raise ValueError(f"unknown relation {rel!r}")
+        if not all(type(x) is int or isinstance(x, Fraction) for x in (*coeffs, rhs)):
+            raise ValueError(f"constraint {coeffs} {rel} {rhs!r} has an entry that is not an int or Fraction")
     return _solve_standard(cons, (0,) * nvars) is not None

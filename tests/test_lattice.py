@@ -375,9 +375,9 @@ assert False, "this script must run under python -O"
 solve = lattice._solve_standard
 
 def corrupted(*args):
-    x, value = solve(*args)
+    x, *rest = solve(*args)
     x[0] += Fraction(1, 2)  # the direction no longer sums to 1
-    return x, value
+    return (x, *rest)
 
 lattice._solve_standard = corrupted
 try:
@@ -387,13 +387,66 @@ except AssertionError:
 """
 
 
-def test_maximin_rejects_corrupt_vertex_under_optimize():
+def _run_optimized(script: str) -> str:
+    """Stdout of script run under python -O on the package in src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_VERTEX],
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "rejected"
+    return proc.stdout.strip()
+
+
+def test_maximin_rejects_corrupt_vertex_under_optimize():
+    assert _run_optimized(_CORRUPT_VERTEX) == "rejected"
+
+
+# For x^2 + y^3 + z^6 the kernel returns d = 36 and slack reduced costs
+# (-6, -12, -18) for the sorted generators (0,0,6), (0,3,0), (2,0,0): the
+# multipliers lam = (1/6, 1/3, 1/2) give p = (1, 1, 1) = t.
+_CORRUPT_DUALS = """
+import thresholdkit.lattice as lattice
+
+assert False, "this script must run under python -O"
+solve = lattice._solve_standard
+
+def shifted(shift):
+    def corrupted(*args):
+        x, value, slack_costs, d = solve(*args)
+        return x, value, [c - s for c, s in zip(slack_costs, shift)], d
+    return corrupted
+
+# no shift; one unit more on lam_0 (sum 37/36); one unit moved from lam_2 to
+# lam_0 (sum 1 and lam >= 0, but p_2 = 42/36 > t)
+for shift in [(0, 0, 0), (1, 0, 0), (1, 0, -1)]:
+    lattice._solve_standard = shifted(shift)
+    try:
+        lattice.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
+        print("accepted")
+    except AssertionError:
+        print("rejected")
+"""
+
+
+def test_maximin_rejects_corrupt_dual_certificate_under_optimize():
+    assert _run_optimized(_CORRUPT_DUALS).split() == ["accepted", "rejected", "rejected"]
+
+
+_INEXACT_DIVISION = """
+import thresholdkit.lattice as lattice
+
+assert False, "this script must run under python -O"
+# pivot 2 over denominator 3: (2*[1, 1] - 1*[2, 1]) / 3 = [0, 1/3] is not
+# integral, so the update must raise rather than round
+try:
+    lattice._eliminate([1, 1], [2, 1], 0, 2, 3)
+except AssertionError:
+    print("rejected")
+"""
+
+
+def test_fraction_free_update_rejects_inexact_division_under_optimize():
+    assert _run_optimized(_INEXACT_DIVISION) == "rejected"
 
 
 def test_no_assert_statement_in_package():
@@ -460,3 +513,30 @@ def test_lp_feasible_rejects_ragged_constraints():
 def test_lp_feasible_greater_equal():
     assert lp_feasible([([1, 0], ">=", 2), ([0, 1], "<=", 1)])
     assert not lp_feasible([([1, 1], "<=", 1), ([1, 1], ">=", 2)])
+
+
+def test_lp_feasible_accepts_only_int_and_fraction_entries():
+    # a float row would let binary rounding decide an exact question
+    for bad in ([([0.5, 1], "<=", 2)], [([1, 1], "=", 1.0)],
+                [([True, 1], "<=", 2)], [([1, 1], "<=", "2")]):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            lp_feasible(bad)
+    assert lp_feasible([([F(1, 10), F(2, 10), F(7, 10)], "=", 1), ([1, 0, 0], "<=", F(1, 3))])
+
+
+def test_lp_feasible_drives_out_an_artificial_on_a_negative_entry(monkeypatch):
+    # phase 1 ends with an artificial basic at 0 whose row has a negative
+    # entry; the pivot on it must keep the common denominator positive
+    signs = []
+    pivot = thresholdkit.lattice._pivot
+
+    def recording(rows, cost, basis, d, r, c):
+        signs.append(rows[r][c] > 0)
+        new_d = pivot(rows, cost, basis, d, r, c)
+        assert new_d > 0
+        return new_d
+
+    monkeypatch.setattr(thresholdkit.lattice, "_pivot", recording)
+    assert lp_feasible([([2, 1], "=", 1), ([0, 1], ">=", 1)])
+    assert False in signs
+    assert not lp_feasible([([2, 1], "=", 1), ([0, 1], ">=", 2)])

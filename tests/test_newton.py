@@ -175,6 +175,15 @@ def test_contains_point_matches_halfspace_on_simplex_diagrams(exponents, point):
     assert contains_point(d, p) == expected
 
 
+def test_contains_point_rejects_float_coordinates():
+    # 0.1 + 0.2 + 0.7 = 1 puts the point on the diagram, but binary floats
+    # say otherwise; only ints and Fractions are exact
+    d = from_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    with pytest.raises(ValueError):
+        contains_point(d, (0.1, 0.2, 0.7))
+    assert contains_point(d, (F(1, 10), F(2, 10), F(7, 10)))
+
+
 def test_contains_point_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         contains_point(from_points([(2, 0), (0, 2)], 2), (1, 1, 1))
