@@ -396,12 +396,22 @@ def _cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 _OPTIONS = {
     "--json": dict(action="store_true", help="emit JSON"),
     "--max-bound": dict(type=int, default=None,
                         help=f"search cap on |w|_1 (default {DEFAULT_MAX_BOUND}, "
                              f"or ${ENV_MAX_BOUND})"),
-    "--parallel": dict(type=int, default=None, metavar="N",
+    "--parallel": dict(type=_positive_int, default=None, metavar="N",
                        help="at most N worker processes, one per job and per CPU"),
     "--vars": dict(default=None, help="comma-separated variable names, e.g. x,y"),
 }
@@ -476,6 +486,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except AssertionError as exc:  # an engine invariant failed
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

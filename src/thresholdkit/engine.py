@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from typing import Sequence
 
 from .lattice import (
@@ -68,6 +69,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BOUND = 10**6
+# most vectors ct_bruteforce evaluates in one pass; bounds its memory
+_BLOCK = 4096
 
 STATUS_COMPLETE = "complete"
 STATUS_BOUND_EXCEEDED = "bound-exceeded"
@@ -111,7 +114,8 @@ class ThresholdReport:
     relaxation   r* = 1/t* from the maximin LP, unclamped
     search_bound the level bound L actually used (the cap if exceeded)
     nodes        number of admissible weight vectors evaluated (seeds and
-                 the vectors the cut inside each level leaves)
+                 the vectors the cut inside each level leaves; for the box
+                 oracle, every admissible vector of the box)
     status       "complete" or "bound-exceeded"
     """
 
@@ -339,7 +343,14 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
 
     Reports the minimum over the box and every attaining vector; no
     completeness claim is made beyond the box, whose size is recorded in
-    search_bound.
+    search_bound.  For each head of the first n-2 coordinates, the box is
+    swept in blocks of whole rows of the last coordinate (at most _BLOCK
+    vectors, or one row), with one exact list pass per generator for wf.  A
+    vector can tie or beat the best value at the start of its block only if
+    wf(w) >= need = ceil((|w|_1 - 1) / best); best only decreases, so the
+    vectors kept include every final tie, and only they are tested for
+    admissibility and offered.  nodes, the primitive vectors of the box
+    less the n unit vectors, is a Moebius sum.
     """
     _check_cap(cap, "cap")
     _check_no_unit(diagram)
@@ -347,26 +358,39 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     gens = diagram.generators
     sol = maximin_lp(gens, n)
 
+    side = cap + 1
+    rows = min(side, max(1, _BLOCK // side))
+    # cell i of a block is (dy, z): row y0 + dy, last coordinate z
+    cells = [(dy, z) for dy in range(rows) for z in range(side)]
+    sums = [dy + z for dy, z in cells]
+    bases = [[dy * m[-2] + z * m[-1] for dy, z in cells] for m in gens]
     best = _Best()
-    best_num = best_den = 0
-    nodes = 0
-    gcd = math.gcd
-    box = range(cap + 1)
-    lasts = tuple(m[-1] for m in gens)
-    for head in product(box, repeat=n - 1):
-        # dot products of the first n-1 coordinates, hoisted out of the last loop
-        g_head = gcd(*head)
-        s_head = sum(head)
-        partial = tuple(sum(wi * mi for wi, mi in zip(head, m)) for m in gens)
-        for last in box:
-            if s_head + last < 2 or gcd(g_head, last) != 1:
-                continue
-            nodes += 1
-            wf = min(p + t * last for p, t in zip(partial, lasts))
-            num = s_head + last - 1
-            if num * best_den <= best_num * wf:
-                best.offer(head + (last,), num, wf)
-                best_num, best_den = best.num, best.den
+    ones_wf = min(map(sum, gens))
+    for head in product(range(side), repeat=n - 2):
+        g_head, s_head = math.gcd(*head), sum(head)
+        offsets = [sum(map(operator.mul, head, m)) for m in gens]
+        for y0 in range(0, side, rows):
+            # wf = off + r, relative to the first generator's offset
+            off, *rest = (o + y0 * m[-2] for o, m in zip(offsets, gens))
+            size = min(rows, side - y0) * side
+            r = bases[0][:size]
+            for base, o in zip(bases[1:], rest):
+                d = o - off
+                r = [a if a < b + d else b + d for a, b in zip(r, base)]
+            # before any offer, h(1, ..., 1) bounds the minimum over the box
+            num, den = (best.num, best.den) if best.den else (n - 1, ones_wf)
+            s0 = s_head + y0
+            need = [-(-(s - 1) * den // num) - off for s in range(s0, s0 + rows + cap)]
+            for i in compress(range(size), map(operator.ge, r, map(need.__getitem__, sums))):
+                dy, z = cells[i]
+                y = y0 + dy
+                if s0 + dy + z >= 2 and math.gcd(g_head, y, z) == 1:
+                    best.offer(head + (y, z), s0 + dy + z - 1, off + r[i])
+    mu = [0, 1] + [0] * (cap - 1)
+    for k in range(1, side):
+        for j in range(2 * k, side, k):
+            mu[j] -= mu[k]
+    nodes = sum(mu[k] * ((cap // k + 1) ** n - 1) for k in range(1, side)) - n
     return best.report(1 / sol.value, cap, nodes, STATUS_COMPLETE)
 
 

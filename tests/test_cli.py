@@ -3,7 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +104,22 @@ def test_ct_explicit_vars(capsys):
     assert code == 0
     assert "value: 1/2" in out
     assert "witnesses: (1,1)" in out
+
+
+def test_engine_invariant_failure_exits_4(capsys, monkeypatch):
+    import thresholdkit.engine as engine
+
+    real = engine.maximin_lp
+
+    def halved(gens, n):
+        sol = real(gens, n)
+        return dataclasses.replace(sol, value=sol.value / 2)
+
+    monkeypatch.setattr(engine, "maximin_lp", halved)
+    code, out, err = run(capsys, "ct", "x^3+y^7+z^11")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ") and "exceeds" in err
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +244,18 @@ def test_sweep_parallel_matches_serial(capsys):
     _, serial, _ = run(capsys, "sweep", "4")
     _, parallel, _ = run(capsys, "sweep", "4", "--parallel", "2")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+@pytest.mark.parametrize("command", ["sweep", "batch"])
+def test_parallel_below_one_exits_1(tmp_path, capsys, command, value):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('"x^2+y^3+z^6"\n')
+    code, out, err = run(capsys, command, "3" if command == "sweep" else str(jobs),
+                         "--parallel", value)
+    assert code == 1
+    assert out == ""
+    assert f"argument --parallel: must be at least 1, got {value}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -438,3 +469,18 @@ def test_missing_arguments_exit_1(capsys):
     code = main(["brieskorn", "2"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_import_loads_only_the_standard_library():
+    # no runtime dependency: without site-packages (-S) the package imports,
+    # and loads nothing outside the standard library (importing numpy alone
+    # raises a process's peak RSS by about 12 MB)
+    script = "import json, sys, thresholdkit; print(json.dumps(sorted(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = {name.split(".")[0] for name in json.loads(done.stdout)}
+    assert loaded - {"__main__", "thresholdkit"} <= set(sys.stdlib_module_names)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)

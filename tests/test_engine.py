@@ -2,13 +2,17 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thresholdkit.engine as engine_module
 from thresholdkit import (
     INFINITY,
     BrieskornTriple,
@@ -257,6 +261,85 @@ def test_bruteforce_matches_engine_on_random_diagrams():
         oracle = ct_bruteforce(d, 25)
         assert oracle.value == engine.value
         assert oracle.witnesses == engine.witnesses
+
+
+def _reference_bruteforce(d, cap):
+    """The box oracle as one plain loop over every vector: the reference
+    that ct_bruteforce's block sweep must reproduce, nodes included."""
+    n = d.dimension
+    gens = d.generators
+    best = engine_module._Best()
+    best_num = best_den = 0
+    nodes = 0
+    box = range(cap + 1)
+    lasts = tuple(m[-1] for m in gens)
+    for head in product(box, repeat=n - 1):
+        g_head = math.gcd(*head)
+        s_head = sum(head)
+        partial = tuple(sum(wi * mi for wi, mi in zip(head, m)) for m in gens)
+        for last in box:
+            if s_head + last < 2 or math.gcd(g_head, last) != 1:
+                continue
+            nodes += 1
+            wf = min(p + t * last for p, t in zip(partial, lasts))
+            num = s_head + last - 1
+            if num * best_den <= best_num * wf:
+                best.offer(head + (last,), num, wf)
+                best_num, best_den = best.num, best.den
+    return best.report(1 / maximin_lp(gens, n).value, cap, nodes, "complete")
+
+
+def _sample_diagram(rng, n, k):
+    """The diagram of k random points in [0, 6]^n; each point is zero on
+    the last two coordinates with probability 1/5."""
+    pts = set()
+    while len(pts) < k:
+        p = tuple(rng.randint(0, 6) for _ in range(n))
+        if rng.random() < 0.2:
+            p = p[:-2] + (0, 0)
+        if any(p):
+            pts.add(p)
+    return from_points(sorted(pts), n)
+
+
+@pytest.mark.parametrize("block", [4096, 20])
+def test_bruteforce_matches_reference_loop_on_random_diagrams(block, monkeypatch):
+    # blocks of 20 cut each plane into several, the last one often short
+    monkeypatch.setattr(engine_module, "_BLOCK", block)
+    rng = random.Random(808)
+    single = flat = non_convenient = 0
+    for i in range(120):
+        n = 2 + i % 4
+        cap = rng.randint(2, {2: 12, 3: 12, 4: 9, 5: 6}[n])
+        d = _sample_diagram(rng, n, rng.randint(1, 6))
+        single += len(d.generators) == 1
+        flat += any(m[-1] == m[-2] == 0 for m in d.generators)
+        non_convenient += not _convenient(d)
+        assert ct_bruteforce(d, cap) == _reference_bruteforce(d, cap), (d, cap)
+    assert single >= 5 and flat >= 20 and non_convenient >= 40
+
+
+def test_bruteforce_matches_reference_loop_on_brieskorn_triples():
+    triples = [(a, b, c) for a in range(2, 31) for b in range(a, 31) for c in range(b, 31)]
+    for a, b, c in random.Random(25).sample(triples, 100):
+        d = from_points([(a, 0, 0), (0, b, 0), (0, 0, c)], 3)
+        assert ct_bruteforce(d, 25) == _reference_bruteforce(d, 25), (a, b, c)
+
+
+def test_bruteforce_memory_is_bounded_by_the_block():
+    # 801^2 vectors; one list of them, with its ints, takes tens of MB
+    d = from_points([(2, 0), (0, 3)], 2)
+    tracemalloc.start()
+    try:
+        report = ct_bruteforce(d, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == _reference_bruteforce(d, 800)
+    # a few lists over one block of at most 4096 vectors, each entry an int
+    # or a pair of ints: the sweep peaks near 270 bytes a vector
+    assert engine_module._BLOCK <= 4096
+    assert peak < 600 * 4096
 
 
 def test_bruteforce_generic_dimension_path():
