@@ -89,22 +89,21 @@ def _load_diagram(source: str, variables: Sequence[str] | None) -> NewtonDiagram
     return from_support(parse_polynomial(source, variables=variables))
 
 
+def _vector_text(w: Sequence[int]) -> str:
+    return "(" + ",".join(map(str, w)) + ")"
+
+
 def _report_text(report: ThresholdReport) -> str:
     lines = [
         f"value: {report.value}",
         f"clamped: {'yes' if report.clamped else 'no'}",
-        "witnesses: " + (" ".join("(" + ",".join(map(str, w)) + ")" for w in report.witnesses)
-                         if report.witnesses else "none"),
+        "witnesses: " + (" ".join(map(_vector_text, report.witnesses)) or "none"),
         f"relaxation: {report.relaxation}",
         f"search bound: {report.search_bound}",
         f"nodes: {report.nodes}",
         f"status: {report.status}",
     ]
     return "\n".join(lines)
-
-
-def _report_exit(report: ThresholdReport) -> int:
-    return EXIT_OK if report.status == STATUS_COMPLETE else EXIT_BOUND
 
 
 def _map(fn, jobs: list, parallel: int | None, chunksize: int = 1) -> list:
@@ -137,7 +136,7 @@ def _cmd_ct(args) -> int:
         print(json.dumps(report.to_json_dict()))
     else:
         print(_report_text(report))
-    return _report_exit(report)
+    return EXIT_OK if report.status == STATUS_COMPLETE else EXIT_BOUND
 
 
 def _cmd_lct(args) -> int:
@@ -173,22 +172,24 @@ def _brieskorn_json(result: BrieskornResult, lct: Fraction) -> dict:
     return out
 
 
+def _engine_brieskorn(a: int, b: int, c: int, max_bound: int | None) -> Fraction | None:
+    """ct_diagram's value for x^a + y^b + z^c; None if it exceeded the bound."""
+    report = ct_diagram(from_points([(a, 0, 0), (0, b, 0), (0, 0, c)], 3), max_bound=max_bound)
+    return report.value if report.status == STATUS_COMPLETE else None
+
+
 def _cmd_brieskorn(args) -> int:
     result = brieskorn_threshold(args.a, args.b, args.c)
     lct = lct_brieskorn([args.a, args.b, args.c])
 
     if args.verify:
-        support = frozenset({(args.a, 0, 0), (0, args.b, 0), (0, 0, args.c)})
-        diagram = from_points(support, 3)
-        report = ct_diagram(diagram, max_bound=_resolve_max_bound(args))
-        if report.status != STATUS_COMPLETE:
+        engine = _engine_brieskorn(args.a, args.b, args.c, _resolve_max_bound(args))
+        if engine is None:
             print("brieskorn: engine search bound exceeded during --verify", file=sys.stderr)
             return EXIT_BOUND
-        if report.value != result.value:
-            print(
-                f"brieskorn: closed form {result.value} disagrees with engine {report.value}",
-                file=sys.stderr,
-            )
+        if engine != result.value:
+            print(f"brieskorn: closed form {result.value} disagrees with engine {engine}",
+                  file=sys.stderr)
             return EXIT_MISMATCH
 
     if args.json:
@@ -197,7 +198,7 @@ def _cmd_brieskorn(args) -> int:
         lines = [
             f"value: {result.value}",
             f"case: {result.case}",
-            f"weight: ({','.join(map(str, result.weight))})",
+            f"weight: {_vector_text(result.weight)}",
         ]
         if result.s_values is not None:
             sv = result.s_values
@@ -238,16 +239,13 @@ class SweepRecord:
 def _sweep_triple(job: tuple[int, int, int, int | None]) -> SweepRecord:
     a, b, c, max_bound = job
     closed = brieskorn_threshold(a, b, c)
-    diagram = from_points([(a, 0, 0), (0, b, 0), (0, 0, c)], 3)
-    report = ct_diagram(diagram, max_bound=max_bound)
-    agrees = report.status == STATUS_COMPLETE and report.value == closed.value
     return SweepRecord(
         triple=(a, b, c),
         ct=closed.value,
         case=closed.case,
         weight=closed.weight,
         lct=lct_brieskorn([a, b, c]),
-        engine_agrees=agrees,
+        engine_agrees=_engine_brieskorn(a, b, c, max_bound) == closed.value,
     )
 
 
@@ -376,19 +374,14 @@ def _cmd_verify(args) -> int:
             "computed": cert.report.to_json_dict(),
         }
         print(json.dumps(out))
+    elif cert.ok:
+        print(f"certified: {c} realized by {_vector_text(cert.witness)}")
+    elif cert.report.value < c and cert.report.witnesses:
+        violator = _vector_text(cert.report.witnesses[0])
+        print(f"not certified: {violator} gives {cert.report.value} < {c}")
     else:
-        if cert.ok:
-            print(f"certified: {c} realized by "
-                  f"({','.join(map(str, cert.witness))})")
-        else:
-            computed = cert.report.value
-            if computed < c and cert.report.witnesses:
-                violator = cert.report.witnesses[0]
-                print(f"not certified: ({','.join(map(str, violator))}) gives "
-                      f"{computed} < {c}")
-            else:
-                print(f"not certified: threshold is {computed}"
-                      f"{' (clamped)' if cert.report.clamped else ''}, not {c}")
+        print(f"not certified: threshold is {cert.report.value}"
+              f"{' (clamped)' if cert.report.clamped else ''}, not {c}")
     return EXIT_OK if cert.ok else EXIT_MISMATCH
 
 

@@ -24,7 +24,8 @@ diagrams whose optimal direction is a unit vector (e.g. a single generator
 on a coordinate axis) may admit no vector below r*; the search then stops
 at the configured cap and reports a partial result rather than a wrong one.
 
-Within a level, a depth-first search fixes one coordinate at a time, in
+Within a level, a depth-first search fixes one coordinate at a time; its
+prefixes wait on one explicit stack, pushed in reverse so that they pop in
 lexicographic order.  A vector ties or beats the best value so far only if
 <w, m> >= need = ceil((|w|_1 - 1) / best) for every generator m.  With a
 prefix fixed and x the next coordinate, <w, m> is at most the prefix's dot
@@ -150,9 +151,9 @@ class Certification:
 
 class _Best:
     """Least h offered so far, as an unreduced pair num/den (den == 0: none
-    yet), and every vector attaining it.  Hot loops test
-    ``num * best.den <= best.num * wf`` inline and offer only the vectors
-    that pass, so the common case costs no call."""
+    yet), and every vector attaining it.  The search and the oracle offer
+    only the vectors with wf >= ceil((|w|_1 - 1) * den / num), which keeps
+    every tie; offer makes the exact comparison."""
 
     __slots__ = ("num", "den", "witnesses")
 
@@ -227,108 +228,112 @@ def _ray_seed(direction: tuple[Fraction, ...]) -> WeightVector | None:
         return None
 
 
+def _search_limit(best: _Best, rstar: Fraction) -> int | None:
+    """Level bound L = ceil(r* / (r* - best)), or None while best >= r*."""
+    tau = min(Fraction(best.num, best.den), 1)
+    if tau >= rstar:
+        return None
+    return max(2, math.ceil(rstar / (rstar - tau)))
+
+
+def _sandwich(w: WeightVector, wf: int, tstar: Fraction) -> None:
+    # relaxation sandwich: wf <= |w|_1 * t*, broken by a t* below the optimum
+    if wf * tstar.denominator > sum(w) * tstar.numerator:
+        raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {sum(w) * tstar}")
+
+
+def _search(best: _Best, gens: Sequence[tuple[int, ...]], tstar: Fraction, cap: int,
+            skip: frozenset) -> tuple[int, int, str]:
+    """Offer to best each vector outside skip that the cut leaves, level by
+    level up to the level bound or the cap; returns (bound, nodes, status).
+    A stack entry is a prefix: next coordinate k, head, its dot products with
+    the generators, rest of the level, gcd; entries pop in lexicographic order."""
+    n = len(gens[0])
+    cols = tuple(zip(*gens))
+    # tails[k][i]: largest entry of generator i after coordinate k
+    tails = [[max(m[k + 1:]) for m in gens] for k in range(n - 1)]
+    rstar = 1 / tstar
+    nodes = 0
+    limit = _search_limit(best, rstar)
+    level = 2
+    while limit is None or level <= limit:
+        if level > cap:
+            return cap, nodes, STATUS_BOUND_EXCEEDED
+        improved = False
+        # (level - 1) / wf ties or beats best iff wf >= need
+        need = -(-(level - 1) * best.den // best.num)
+        stack = [(0, (), [0] * len(gens), level, 0)]
+        while stack:
+            k, head, partial, rest, g = stack.pop()
+            # the x that keep every <w, m> >= need in reach form [lo, hi]
+            lo, hi = 0, rest
+            for p, mk, mt in zip(partial, cols[k], tails[k]):
+                d, c = mk - mt, need - p - rest * mt
+                if d > 0:
+                    lo = max(lo, -(-c // d))
+                elif d < 0:
+                    hi = min(hi, c // d)
+                elif c > 0:
+                    break
+            else:
+                if k < n - 2:
+                    for x in range(hi, lo - 1, -1):
+                        dots = [p + x * mk for p, mk in zip(partial, cols[k])]
+                        stack.append((k + 1, head + (x,), dots, rest - x, math.gcd(g, x)))
+                    continue
+                # the last coordinate takes the rest, so the interval is exact
+                for x in range(lo, hi + 1):
+                    w = head + (x, rest - x)
+                    if math.gcd(g, x, rest) != 1 or w in skip:
+                        continue
+                    nodes += 1
+                    wf = min(p + x * a + (rest - x) * b for p, a, b in zip(partial, cols[k], cols[-1]))
+                    _sandwich(w, wf, tstar)
+                    if wf >= need and best.offer(w, level - 1, wf):
+                        improved = True
+                        need = -(-(level - 1) * best.den // best.num)
+        if improved:
+            limit = _search_limit(best, rstar)
+        level += 1
+    return limit, nodes, STATUS_COMPLETE
+
+
 def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> ThresholdReport:
     """Threshold of a diagram with complete witness list, by bounded search.
 
-    Searches admissible vectors level by level (levels are values of
-    |w|_1), shrinking the level bound as the best value improves; see the
-    module docstring for why the bound is valid and why the cut inside a
-    level keeps every tie.  If the bound never becomes finite before the
-    cap, the report carries status "bound-exceeded" and the best value
-    found so far, which is always a correct upper bound.
+    Offers the seeds, then searches admissible vectors level by level
+    (levels are values of |w|_1) with a stack of prefixes, shrinking the
+    level bound as the best value improves; see the module docstring for
+    why the bound is valid and why the cut keeps every tie.  If the bound
+    never becomes finite before the cap, the report carries status
+    "bound-exceeded" and the best value found so far, which is always a
+    correct upper bound.
     """
     cap = _check_cap(DEFAULT_MAX_BOUND if max_bound is None else max_bound, "max_bound")
     _check_no_unit(diagram)
 
-    n = diagram.dimension
-    gens = diagram.generators
-    sol = maximin_lp(gens, n)
+    sol = maximin_lp(diagram.generators, diagram.dimension)
     tstar = sol.value
     rstar = 1 / tstar
 
     best = _Best()
-
-    def search_limit() -> int | None:
-        tau = min(Fraction(best.num, best.den), 1)
-        if tau >= rstar:
-            return None
-        return max(2, math.ceil(rstar / (rstar - tau)))
-
-    def sandwich(w: WeightVector, wf: int) -> None:
-        # relaxation sandwich: wf <= |w|_1 * t*, broken by a t* below the optimum
-        if wf * tstar.denominator > sum(w) * tstar.numerator:
-            raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {sum(w) * tstar}")
-
     seeds: list[WeightVector] = []
     ray = _ray_seed(sol.direction)
     if ray is not None:
         seeds.append(ray)
-    ones = (1,) * n
+    ones = (1,) * diagram.dimension
     if ones not in seeds:
         seeds.append(ones)
     for w in seeds:
         wf = weight_of(diagram, w)
-        sandwich(w, wf)
+        _sandwich(w, wf, tstar)
         # the primitive vector on the optimal ray sits strictly under r*
         if w is ray and not (wf > 0 and Fraction(sum(w) - 1, wf) < rstar):
             raise AssertionError(f"optimal-ray seed {w} does not beat r* = {rstar}")
         best.offer(w, sum(w) - 1, wf)
-    seed_set = set(seeds)
-    nodes = len(seeds)
 
-    cols = tuple(zip(*gens))
-    # tails[k][i]: largest entry of generator i after coordinate k
-    tails = [[max(m[k + 1:]) for m in gens] for k in range(n - 1)]
-
-    def walk(k: int, head: tuple, partial: list, rest: int, g: int) -> None:
-        """Extend head (gcd g, dot products partial, rest of the level left)
-        by each x in the interval that the cut leaves for coordinate k."""
-        nonlocal nodes, need, improved
-        lo, hi = 0, rest
-        for p, mk, mt in zip(partial, cols[k], tails[k]):
-            d, c = mk - mt, need - p - rest * mt
-            if d > 0:
-                lo = max(lo, -(-c // d))
-            elif d < 0:
-                hi = min(hi, c // d)
-            elif c > 0:
-                return
-        if k < n - 2:
-            for x in range(lo, hi + 1):
-                walk(k + 1, head + (x,), [p + x * mk for p, mk in zip(partial, cols[k])],
-                     rest - x, math.gcd(g, x))
-            return
-        # the last coordinate takes the rest, so the interval is exact
-        for x in range(lo, hi + 1):
-            w = head + (x, rest - x)
-            if math.gcd(g, x, rest) != 1 or w in seed_set:
-                continue
-            nodes += 1
-            wf = min(p + x * a + (rest - x) * b for p, a, b in zip(partial, cols[k], cols[-1]))
-            sandwich(w, wf)
-            if wf >= need and best.offer(w, level - 1, wf):
-                improved = True
-                need = -(-(level - 1) * best.den // best.num)
-
-    status = STATUS_COMPLETE
-    limit = search_limit()
-    level = 2
-    while limit is None or level <= limit:
-        if level > cap:
-            status = STATUS_BOUND_EXCEEDED
-            break
-        improved = False
-        # (level - 1) / wf ties or beats best iff wf >= need
-        need = -(-(level - 1) * best.den // best.num)
-        walk(0, (), [0] * len(gens), level, 0)
-        if improved:
-            limit = search_limit()
-        level += 1
-
-    bound = limit if status == STATUS_COMPLETE else cap
-    if bound is None:
-        raise AssertionError("search completed without a finite level bound")
-    return best.report(rstar, bound, nodes, status)
+    bound, nodes, status = _search(best, diagram.generators, tstar, cap, frozenset(seeds))
+    return best.report(rstar, bound, len(seeds) + nodes, status)
 
 
 def lct_diagram(diagram: NewtonDiagram) -> Fraction:

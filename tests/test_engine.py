@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
@@ -559,3 +560,29 @@ def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):
     monkeypatch.setattr(engine, "maximin_lp", halved)
     with pytest.raises(AssertionError, match="exceeds"):
         ct_diagram(diagram("x^3+y^7+z^11"))
+
+
+def test_search_sandwich_catches_suboptimal_lp(monkeypatch):
+    # x^5 has t* = 5 on the axis ray, so there is no ray seed, and (1,1,1)
+    # gives wf = 5 <= 3 * 2: only the check inside the level search can see
+    # that t* = 2 is too small, at the first vector it evaluates
+    real = engine_module.maximin_lp
+    monkeypatch.setattr(engine_module, "maximin_lp",
+                        lambda gens, n: dataclasses.replace(real(gens, n), value=F(2)))
+    with pytest.raises(AssertionError, match=r"wf\(\(1, 0, 1\)\) = 5 exceeds"):
+        ct_diagram(from_points([(5, 0, 0)], 3))
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the level search keeps its state in local variables, so a call leaves
+    # nothing that only the cyclic collector could free
+    inputs = [diagram("x^2+y^3+z^7"), diagram("x^3+y^7+z^11+w^13"),
+              diagram("x^4+y^4+z^4+x^2*y*z+x*y^2*z+x*y*z^2+x^2*y^2+y^2*z^2+x^2*z^2")]
+    gc.collect()
+    gc.disable()
+    try:
+        for d in inputs:
+            ct_diagram(d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
