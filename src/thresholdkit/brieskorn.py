@@ -20,7 +20,7 @@ min(1, sum 1/a_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -149,12 +149,7 @@ def brieskorn_threshold(a: int, b: int, c: int) -> BrieskornResult:
     weight = [0, 0, 0]
     for slot, original_index in enumerate(order):
         weight[original_index] = result.weight[slot]
-    return BrieskornResult(
-        value=result.value,
-        case=result.case,
-        weight=tuple(weight),
-        s_values=result.s_values,
-    )
+    return replace(result, weight=tuple(weight))
 
 
 def lct_brieskorn(exponents: Sequence[int]) -> Fraction:

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .lattice import (
-    ParseError,
-    fraction_to_json,
-    parse_polynomial,
-)
+from .lattice import ParseError, fraction_to_json, parse_polynomial
 from .newton import NewtonDiagram, from_support, from_points, diagram_from_json
 from .engine import (
     DEFAULT_MAX_BOUND,
@@ -296,11 +292,9 @@ def _cmd_sweep(args) -> int:
         f"values in [4/5, 1]: {observed}",
         file=sys.stderr,
     )
-    if violations:
-        for v in violations:
-            print(f"sweep violation: {v}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    for v in violations:
+        print(f"sweep violation: {v}", file=sys.stderr)
+    return EXIT_MISMATCH if violations else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

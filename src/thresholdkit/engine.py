@@ -407,7 +407,8 @@ def certify(diagram: NewtonDiagram, c: Fraction,
     (|w|_1 - 1) - c * wf(w) < 0 and at least one attains equality; the
     lexicographically least equality witness is returned.
     """
-    c = Fraction(c)
+    if not (type(c) is int or isinstance(c, Fraction)):
+        raise ValueError(f"candidate threshold must be an int or Fraction, got {c!r}")
     if not 0 < c <= 1:
         raise ValueError(f"candidate threshold must lie in (0, 1], got {c}")
     report = ct_diagram(diagram, max_bound=max_bound)

@@ -6,7 +6,8 @@ Everything in this module is pure and exact: values are Python ints and
 rows ``(coefficients, relation, rhs)`` over nonnegative variables and solved
 by ``_solve_standard``, the one function that builds a tableau: a dense
 two-phase simplex whose rows are integers over one common positive
-denominator, updated by fraction-free (Bareiss) pivoting.  Bland's rule
+denominator, updated by fraction-free (Bareiss) pivoting, with implicit
+phase-1 artificial columns (see ``_solve_standard``).  Bland's rule
 (entering: lowest index with positive reduced cost; leaving: lowest basis
 index among minimal ratios) makes it terminate on every input and reach the
 same optimal vertex on every run and platform.  Problems are tiny
@@ -369,15 +370,17 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int) -> list[int]:
+def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int,
+               pivot_sum: int | None = None) -> list[int]:
     """Fraction-free update (p*row - row[col]*pivot_row) / d for a pivot p over
-    denominator d > 0; exact, as every entry is a minor of the first tableau."""
+    denominator d > 0 (pivot_sum: sum(pivot_row)); exact, as every entry is a
+    minor of the first tableau."""
     f = row[col]
     if f == 0 and p == d:
         return row
     new = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
     # the floor remainders are >= 0, so all of them are 0 iff their sum is
-    if p * sum(row) - f * sum(pivot_row) != d * sum(new):
+    if p * sum(row) - f * (sum(pivot_row) if pivot_sum is None else pivot_sum) != d * sum(new):
         raise AssertionError(f"inexact fraction-free division by {d}")
     return new
 
@@ -389,8 +392,9 @@ def _pivot(rows: list[list[int]], cost: list[int], basis: list[int],
     if rows[r][c] < 0:
         rows[r] = [-x for x in rows[r]]
     prow, p = rows[r], rows[r][c]
-    rows[:] = [row if i == r else _eliminate(row, prow, c, p, d) for i, row in enumerate(rows)]
-    cost[:] = _eliminate(cost, prow, c, p, d)
+    s = sum(prow)
+    rows[:] = [row if i == r else _eliminate(row, prow, c, p, d, s) for i, row in enumerate(rows)]
+    cost[:] = _eliminate(cost, prow, c, p, d, s)
     basis[r] = c
     return p
 
@@ -421,14 +425,21 @@ def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, F
     each inequality's slack column in row order, d), all but d integers over
     the denominator d > 0, or None if infeasible.  A row with Fraction
     entries is scaled by the lcm of their denominators.
+
+    Rows hold the k structural columns and the rhs; the phase-1 artificials
+    (basis[i] = k + i) are implicit and never re-enter once they leave, which
+    keeps the phase-1 optimum 0 exactly when the rows are feasible.  For
+    maximin_lp no pivot changes: Bland picks an artificial only when every
+    structural reduced cost is <= 0, and then the duals y have rc(s_m) = y_m
+    <= 0 and rc(u_j) = -sum_m y_m m_j <= 0, so y_m = 0 for each generator m
+    but the origin, and every artificial has reduced cost -1.
     """
     nvars = len(objective)
-    m = len(constraints)
     k = nvars + sum(1 for _, rel, _ in constraints if rel != "=")
     rows = []
     slack = nvars
-    for i, (coeffs, rel, rhs) in enumerate(constraints):
-        row = [*coeffs, *[0] * (k - nvars + m), rhs]
+    for coeffs, rel, rhs in constraints:
+        row = [*coeffs, *[0] * (k - nvars), rhs]
         if not all(type(x) is int for x in row):  # clear a Fraction row's denominators
             scale = math.lcm(*[x.denominator for x in row])
             row = [x.numerator * (scale // x.denominator) for x in row]
@@ -437,19 +448,17 @@ def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, F
             slack += 1
         if row[-1] < 0:
             row = [-x for x in row]
-        row[k + i] = 1
         rows.append(row)
 
-    # phase 1: artificial basis, maximize -(sum of artificials)
-    basis = [k + i for i in range(m)]
-    cost = [sum(row[j] for row in rows) for j in range(k)] + [0] * m
-    cost.append(sum(row[-1] for row in rows))
+    # phase 1: maximize -(sum of artificials), whose cost row is the column sums
+    basis = [k + i for i in range(len(rows))]
+    cost = [sum(col) for col in zip(*rows)]
     d = _bland_simplex(rows, cost, basis, 1)
     if cost[-1] != 0:
         return None
 
     # drive artificials out of the basis; drop rows that became redundant
-    for i in range(m - 1, -1, -1):
+    for i in range(len(rows) - 1, -1, -1):
         if basis[i] >= k:
             enter = next((j for j in range(k) if rows[i][j] != 0), None)
             if enter is None:
@@ -458,8 +467,7 @@ def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, F
             else:
                 d = _pivot(rows, cost, basis, d, i, enter)
 
-    # phase 2 on structural columns only
-    rows = [row[:k] + [row[-1]] for row in rows]
+    # phase 2 on the same rows
     cost = [d * x for x in objective] + [0] * (k - nvars + 1)
     for i, bi in enumerate(basis):
         cost = _eliminate(cost, rows[i], bi, d, d)

@@ -39,10 +39,11 @@ def _dominates(a: ExponentVector, b: ExponentVector) -> bool:
 
 
 def _minimal_elements(points: Iterable[ExponentVector]) -> tuple[ExponentVector, ...]:
-    pts = sorted(set(points))
-    keep = []
-    for p in pts:
-        if not any(q != p and _dominates(p, q) for q in pts):
+    """The componentwise-minimal points, sorted, in one pass: a point sorts after
+    those it dominates, and a dropped point is dominated by a kept one."""
+    keep: list[ExponentVector] = []
+    for p in sorted(set(points)):
+        if not any(_dominates(p, q) for q in keep):
             keep.append(p)
     return tuple(keep)
 

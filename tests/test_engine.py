@@ -362,6 +362,16 @@ def test_certify_comparison_singularity():
     assert cert.witness == (3, 2, 1)
 
 
+def test_certify_accepts_only_int_and_fraction_candidates():
+    # Fraction(5/6) as a float is not 5/6, and True is not the threshold 1
+    d = diagram("x^2+y^3+z^7")
+    assert certify(d, F(5, 6)).ok
+    for bad in (5 / 6, True, "5/6"):
+        with pytest.raises(ValueError, match="must be an int or Fraction"):
+            certify(d, bad)
+    assert not certify(d, 1).ok
+
+
 def test_certify_first_example():
     cert = certify(diagram("x^3+y^7+z^11"), F(1, 2))
     assert cert.ok

@@ -3,7 +3,9 @@
 import ast
 import importlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -345,6 +347,149 @@ def test_maximin_validates_generators_like_every_vector():
             maximin_lp([bad, (0, 2, 0)], 3)
     with pytest.raises(DimensionMismatchError):
         maximin_lp([(1, 2, 0), (0, 2)], 3)
+
+
+def _reference_solve_standard(constraints, objective):
+    """The wide-tableau kernel that stored one artificial column per row:
+    the reference the narrow kernel must reproduce.  Returns its result and
+    the number of pivots it made."""
+    pivots = 0
+
+    def eliminate(row, pivot_row, col, p, d):
+        f = row[col]
+        if f == 0 and p == d:
+            return row
+        new = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+        assert p * sum(row) - f * sum(pivot_row) == d * sum(new)
+        return new
+
+    def pivot(rows, cost, basis, d, r, c):
+        nonlocal pivots
+        pivots += 1
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        prow, p = rows[r], rows[r][c]
+        rows[:] = [row if i == r else eliminate(row, prow, c, p, d) for i, row in enumerate(rows)]
+        cost[:] = eliminate(cost, prow, c, p, d)
+        basis[r] = c
+        return p
+
+    def simplex(rows, cost, basis, d):
+        while True:
+            enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
+            if enter is None:
+                return d
+            leave = None
+            for i, row in enumerate(rows):
+                if row[enter] > 0 and (leave is None or (row[-1] * rows[leave][enter], basis[i])
+                                       < (rows[leave][-1] * row[enter], basis[leave])):
+                    leave = i
+            assert leave is not None
+            d = pivot(rows, cost, basis, d, leave, enter)
+
+    nvars = len(objective)
+    m = len(constraints)
+    k = nvars + sum(1 for _, rel, _ in constraints if rel != "=")
+    rows = []
+    slack = nvars
+    for i, (coeffs, rel, rhs) in enumerate(constraints):
+        row = [*coeffs, *[0] * (k - nvars + m), rhs]
+        if not all(type(x) is int for x in row):
+            scale = math.lcm(*[x.denominator for x in row])
+            row = [x.numerator * (scale // x.denominator) for x in row]
+        if rel != "=":
+            row[slack] = 1 if rel == "<=" else -1
+            slack += 1
+        if row[-1] < 0:
+            row = [-x for x in row]
+        row[k + i] = 1
+        rows.append(row)
+
+    basis = [k + i for i in range(m)]
+    cost = [sum(row[j] for row in rows) for j in range(k)] + [0] * m
+    cost.append(sum(row[-1] for row in rows))
+    d = simplex(rows, cost, basis, 1)
+    if cost[-1] != 0:
+        return None, pivots
+
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= k:
+            enter = next((j for j in range(k) if rows[i][j] != 0), None)
+            if enter is None:
+                del rows[i]
+                del basis[i]
+            else:
+                d = pivot(rows, cost, basis, d, i, enter)
+
+    rows = [row[:k] + [row[-1]] for row in rows]
+    cost = [d * x for x in objective] + [0] * (k - nvars + 1)
+    for i, bi in enumerate(basis):
+        cost = eliminate(cost, rows[i], bi, d, d)
+    d = simplex(rows, cost, basis, d)
+
+    x = {bi: row[-1] for bi, row in zip(basis, rows)}
+    return ([x.get(j, 0) for j in range(nvars)], -cost[-1], cost[nvars:k], d), pivots
+
+
+def _counting_solve_standard(monkeypatch, constraints, objective):
+    """lattice._solve_standard's result and the number of pivots it made."""
+    pivots = 0
+    pivot = thresholdkit.lattice._pivot
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(thresholdkit.lattice, "_pivot", counting)
+    try:
+        return thresholdkit.lattice._solve_standard(constraints, objective), pivots
+    finally:
+        monkeypatch.undo()
+
+
+def test_narrow_kernel_matches_wide_tableau_on_maximin_lps(monkeypatch):
+    # the rows maximin_lp states; sets with the origin included, where the
+    # reduced-cost argument for identical pivots does not apply
+    rng = random.Random(1010)
+    with_origin = 0
+    for _ in range(600):
+        n = rng.randint(2, 6)
+        gens = sorted({tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 12))})
+        if rng.random() < 0.15:
+            gens = sorted({(0,) * n, *gens})
+        with_origin += (0,) * n in gens
+        rows = [((1,) * n + (0,), "=", 1)] + [(m + (-1,), ">=", 0) for m in gens]
+        objective = (0,) * n + (1,)
+        got = _counting_solve_standard(monkeypatch, rows, objective)
+        assert got == _reference_solve_standard(rows, objective), gens
+    assert with_origin >= 50
+
+
+def test_narrow_kernel_agrees_with_wide_tableau_on_feasibility():
+    # the pivot path may differ (the wide tableau could pivot an artificial
+    # back in), the answer may not
+    rng = random.Random(1011)
+    seen = {True: 0, False: 0}
+    redundant = negative = 0
+    for _ in range(1500):
+        nvars = rng.randint(1, 5)
+        cons = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(nvars))
+            rhs = rng.choice([rng.randint(-4, 4), F(rng.randint(-9, 9), rng.randint(1, 4))])
+            cons.append((coeffs, rng.choice(["<=", "=", ">="]), rhs))
+        if rng.random() < 0.2:
+            coeffs, _, rhs = cons[0]
+            k = rng.randint(-2, 2) or 1
+            cons.append((tuple(k * c for c in coeffs), "=", k * rhs))
+            cons[0] = (coeffs, "=", rhs)
+            redundant += 1
+        negative += any(rhs < 0 for _, _, rhs in cons)
+        expected = _reference_solve_standard(cons, (0,) * nvars)[0] is not None
+        assert lp_feasible(cons) == expected, cons
+        seen[expected] += 1
+    assert min(seen.values()) >= 300 and redundant >= 200 and negative >= 500
 
 
 _VERTICES = Path(__file__).resolve().parent / "data" / "maximin_vertices.json"

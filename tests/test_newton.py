@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thresholdkit.newton as newton_module
 from thresholdkit import (
     DimensionMismatchError,
     NewtonDiagram,
@@ -70,6 +71,44 @@ def test_direct_construction_validates_like_support_set():
         NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)))
     with pytest.raises(ValueError, match="diagram is not reduced"):
         NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 1, 0)))
+
+
+def _reference_minimal_elements(points):
+    """The all-pairs Dickson reduction: the reference for the one-pass one."""
+    pts = sorted(set(points))
+    return tuple(p for p in pts
+                 if not any(q != p and all(x >= y for x, y in zip(p, q)) for q in pts))
+
+
+def test_minimal_elements_matches_all_pairs_reference():
+    rng = random.Random(1012)
+    dropped = 0
+    for _ in range(2000):
+        n = rng.randint(2, 8)
+        pts = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 14))]
+        # a repeat and a dominating shift of drawn points
+        pts.append(rng.choice(pts))
+        base = rng.choice(pts)
+        pts.append(tuple(x + rng.randint(0, 2) for x in base))
+        rng.shuffle(pts)
+        got = newton_module._minimal_elements(pts)
+        assert got == _reference_minimal_elements(pts), pts
+        dropped += len(set(pts)) - len(got)
+    assert dropped >= 2000
+
+
+def test_direct_construction_rejects_what_the_reduction_drops():
+    # NewtonDiagram refuses, with one message, every generator tuple that the
+    # one-pass reduction changes, and accepts every tuple it keeps
+    rng = random.Random(1013)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        gens = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6)))
+        if _reference_minimal_elements(gens) == tuple(sorted(gens)):
+            assert NewtonDiagram(dimension=n, generators=gens).generators == tuple(sorted(gens))
+        else:
+            with pytest.raises(ValueError, match="repeat or dominate one another; diagram is not reduced"):
+                NewtonDiagram(dimension=n, generators=gens)
 
 
 @st.composite
