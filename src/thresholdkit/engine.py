@@ -19,10 +19,11 @@ so once some evaluated vector achieves h < r*, all levels |w|_1 beyond
 L = ceil(r* / (r* - best)) are strictly worse than the best value found and
 enumeration through level L is exhaustive.  Clearing denominators of the
 optimal LP direction gives a primitive vector with h = r*(1 - 1/|w|_1) < r*,
-which primes the bound whenever that vector is admissible.  Degenerate
-diagrams whose optimal direction is a unit vector (e.g. a single generator
-on a coordinate axis) may admit no vector below r*; the search then stops
-at the configured cap and reports a partial result rather than a wrong one.
+which primes the bound whenever that vector is admissible.  maximin_lp
+returns a unit vector only when the whole optimal face is one coordinate
+axis (e.g. a single generator on an axis); only then is there no ray seed.
+Such diagrams may admit no vector below r*; the search then stops at the
+configured cap and reports a partial result rather than a wrong one.
 
 Within a level, a depth-first search fixes one coordinate at a time; its
 prefixes wait on one explicit stack, pushed in reverse so that they pop in
@@ -219,7 +220,8 @@ def _ray_seed(direction: tuple[Fraction, ...]) -> WeightVector | None:
     """Primitive integer vector on the ray of a rational direction.
 
     Returns None when the ray is a coordinate axis (the resulting unit
-    vector is not admissible).
+    vector is not admissible), which maximin_lp returns only when the whole
+    optimal face is that axis.
     """
     scale = math.lcm(*(u.denominator for u in direction))
     try:

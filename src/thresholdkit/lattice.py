@@ -2,16 +2,16 @@
 maximin linear-programming kernel.
 
 Everything in this module is pure and exact: values are Python ints and
-``fractions.Fraction``; no floats enter at any point.  Each LP is stated as
-rows ``(coefficients, relation, rhs)`` over nonnegative variables and solved
-by ``_solve_standard``, the one function that builds a tableau: a dense
-two-phase simplex whose rows are integers over one common positive
-denominator, updated by fraction-free (Bareiss) pivoting, with implicit
-phase-1 artificial columns (see ``_solve_standard``).  Bland's rule
-(entering: lowest index with positive reduced cost; leaving: lowest basis
-index among minimal ratios) makes it terminate on every input and reach the
-same optimal vertex on every run and platform.  Problems are tiny
-(dimension <= 8, a few hundred constraints at most): no sparsity tricks.
+``fractions.Fraction``; no floats enter at any point.  The one LP is the
+maximin of <u, m> over probability directions u, solved by
+``_solve_maximin``: a dense single-phase simplex from the slack basis,
+which is feasible once u_1 is eliminated through sum(u) = 1.  Its rows are
+integers over one common positive denominator, updated by fraction-free
+(Bareiss) pivoting.  Bland's rule (entering: lowest index with positive
+reduced cost; leaving: lowest basis index among minimal ratios) makes it
+terminate on every input and reach the same optimal vertex on every run and
+platform.  Problems are tiny (dimension <= 8, a few hundred generators at
+most): no sparsity tricks.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "primitive",
     "check_admissible_weight",
     "maximin_lp",
-    "lp_feasible",
     "fraction_to_json",
 ]
 
@@ -399,11 +398,15 @@ def _pivot(rows: list[list[int]], cost: list[int], basis: list[int],
     return p
 
 
-def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int], d: int) -> int:
-    """Maximize in place and return the final denominator.  cost[j] are
-    reduced costs, cost[-1] is -(objective), all over d > 0."""
+def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int], d: int,
+                   columns: Sequence[int] | None = None) -> int:
+    """Maximize in place over the entering columns (default: all) and return
+    the final denominator.  cost[j] are reduced costs, cost[-1] is
+    -(objective), all over d > 0."""
+    if columns is None:
+        columns = range(len(cost) - 1)
     while True:
-        enter = next((j for j in range(len(cost) - 1) if cost[j] > 0), None)
+        enter = next((j for j in columns if cost[j] > 0), None)
         if enter is None:
             return d
         # ratio test by cross-multiplying; ties go to the lowest basis index
@@ -413,68 +416,57 @@ def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int], d: 
                                    < (rows[leave][-1] * row[enter], basis[leave])):
                 leave = i
         if leave is None:
-            raise AssertionError("unbounded LP; phase 1 and every caller's phase 2 are bounded")
+            raise AssertionError("unbounded LP; every maximin objective is bounded")
         d = _pivot(rows, cost, basis, d, leave, enter)
 
 
-def _solve_standard(constraints: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
-                    objective: Sequence[int]) -> tuple[list[int], int, list[int], int] | None:
-    """Maximize objective.x over x >= 0 subject to rows (coeffs, rel, rhs).
+def _solve_maximin(gens: Sequence[ExponentVector], n: int) -> tuple[list[int], int, list[int], int]:
+    """Maximize t over probability directions u with <u, m> >= t for every m.
 
-    Returns (x over the caller's variables, value, the final reduced cost of
-    each inequality's slack column in row order, d), all but d integers over
-    the denominator d > 0, or None if infeasible.  A row with Fraction
-    entries is scaled by the lcm of their denominators.
+    Returns (u, t, lam, d): u and t over the denominator d > 0, and the
+    multipliers lam_m over d, the negated reduced costs of the slacks s_m.
+    Eliminating u_1 = 1 - sum_{j>=2} u_j turns each generator into the row
+    sum_{j>=2} (m_1 - m_j) u_j + t + s_m = m_1, and u_1 >= 0 into the row
+    sum_{j>=2} u_j + u_1 = 1.  Every right-hand side is >= 0, so the slack
+    basis {u_1, s_m} is feasible and one phase of Bland's rule suffices.
+    Columns: u_2..u_n, t, u_1, s_m in generator order; rhs last.
 
-    Rows hold the k structural columns and the rhs; the phase-1 artificials
-    (basis[i] = k + i) are implicit and never re-enter once they leave, which
-    keeps the phase-1 optimum 0 exactly when the rows are feasible.  For
-    maximin_lp no pivot changes: Bland picks an artificial only when every
-    structural reduced cost is <= 0, and then the duals y have rc(s_m) = y_m
-    <= 0 and rc(u_j) = -sum_m y_m m_j <= 0, so y_m = 0 for each generator m
-    but the origin, and every artificial has reduced cost -1.
+    If the optimum is an axis e_j, a second objective minimizes u_j over the
+    optimal face (the columns with zero reduced cost), and the midpoint of
+    the two vertices is returned when they differ: it attains t on the same
+    face and keeps the multipliers, so its ray is not an axis.
     """
-    nvars = len(objective)
-    k = nvars + sum(1 for _, rel, _ in constraints if rel != "=")
-    rows = []
-    slack = nvars
-    for coeffs, rel, rhs in constraints:
-        row = [*coeffs, *[0] * (k - nvars), rhs]
-        if not all(type(x) is int for x in row):  # clear a Fraction row's denominators
-            scale = math.lcm(*[x.denominator for x in row])
-            row = [x.numerator * (scale // x.denominator) for x in row]
-        if rel != "=":
-            row[slack] = 1 if rel == "<=" else -1
-            slack += 1
-        if row[-1] < 0:
-            row = [-x for x in row]
+    k = len(gens)
+    width = n + 1 + k
+    rows = [[1] * (n - 1) + [0, 1] + [0] * k + [1]]
+    for i, m in enumerate(gens):
+        row = [m[0] - mj for mj in m[1:]] + [1, 0] + [0] * k + [m[0]]
+        row[n + 1 + i] = 1
         rows.append(row)
-
-    # phase 1: maximize -(sum of artificials), whose cost row is the column sums
-    basis = [k + i for i in range(len(rows))]
-    cost = [sum(col) for col in zip(*rows)]
+    basis = list(range(n, width))
+    cost = [0] * (width + 1)
+    cost[n - 1] = 1
     d = _bland_simplex(rows, cost, basis, 1)
-    if cost[-1] != 0:
-        return None
 
-    # drive artificials out of the basis; drop rows that became redundant
-    for i in range(len(rows) - 1, -1, -1):
-        if basis[i] >= k:
-            enter = next((j for j in range(k) if rows[i][j] != 0), None)
-            if enter is None:
-                del rows[i]
-                del basis[i]
-            else:
-                d = _pivot(rows, cost, basis, d, i, enter)
+    def direction() -> list[int]:
+        x = dict(zip(basis, (row[-1] for row in rows)))
+        return [x.get(n, 0)] + [x.get(j, 0) for j in range(n - 1)]
 
-    # phase 2 on the same rows
-    cost = [d * x for x in objective] + [0] * (k - nvars + 1)
-    for i, bi in enumerate(basis):
-        cost = _eliminate(cost, rows[i], bi, d, d)
-    d = _bland_simplex(rows, cost, basis, d)
-
-    x = {bi: row[-1] for bi, row in zip(basis, rows)}
-    return [x.get(j, 0) for j in range(nvars)], -cost[-1], cost[nvars:k], d
+    u, t, lam = direction(), -cost[-1], [-c for c in cost[n + 1:width]]
+    if u.count(0) == n - 1:
+        a = next(i for i, ui in enumerate(u) if ui)
+        face = [j for j in range(width) if cost[j] == 0]
+        # maximize -u_a from the current basis, entering only face columns
+        cost = [0] * (width + 1)
+        cost[n if a == 0 else a - 1] = -d
+        for i, bi in enumerate(basis):
+            cost = _eliminate(cost, rows[i], bi, d, d)
+        d2 = _bland_simplex(rows, cost, basis, d, face)
+        v = direction()
+        if v[a] != d2:
+            u = [x * d2 + y * d for x, y in zip(u, v)]
+            t, lam, d = 2 * d2 * t, [2 * d2 * q for q in lam], 2 * d * d2
+    return u, t, lam, d
 
 
 @dataclass(frozen=True)
@@ -494,39 +486,14 @@ def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
     gens = sorted({_check_vector(m, n, "generator") for m in generators})
     if not gens:
         raise ValueError("empty generator set")
-
-    # variables u_1..u_n, t; always feasible (u = e_1, t = 0)
-    rows = [((1,) * n + (0,), "=", 1)] + [(m + (-1,), ">=", 0) for m in gens]
-    x, t, slack_costs, d = _solve_standard(rows, (0,) * n + (1,))
-    u = x[:n]
+    u, t, lam, d = _solve_maximin(gens, n)
 
     # over d: u is a probability direction whose least weight is t, and the
     # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
     weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
     if not (sum(u) == d and all(ui >= 0 for ui in u) and min(weights) == t):
         raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
-    lam = [-c for c in slack_costs]
     p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
     if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
         raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
     return MaximinSolution(value=Fraction(t, d), direction=tuple(Fraction(ui, d) for ui in u))
-
-
-def lp_feasible(constraints: Iterable[tuple[Sequence[Fraction | int], str, Fraction | int]]) -> bool:
-    """Exact feasibility of a linear system over nonnegative variables.
-
-    Each constraint is (coefficients, relation, rhs) with relation one of
-    '<=', '=', '>='.  True iff some rational x >= 0 satisfies all of them.
-    """
-    cons = [(tuple(coeffs), rel, rhs) for coeffs, rel, rhs in constraints]
-    if not cons:
-        return True
-    nvars = len(cons[0][0])
-    for coeffs, rel, rhs in cons:
-        if len(coeffs) != nvars:
-            raise DimensionMismatchError("constraints have differing numbers of variables")
-        if rel not in ("<=", "=", ">="):
-            raise ValueError(f"unknown relation {rel!r}")
-        if not all(type(x) is int or isinstance(x, Fraction) for x in (*coeffs, rhs)):
-            raise ValueError(f"constraint {coeffs} {rel} {rhs!r} has an entry that is not an int or Fraction")
-    return _solve_standard(cons, (0,) * nvars) is not None

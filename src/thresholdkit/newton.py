@@ -3,12 +3,14 @@
 A diagram is stored by the componentwise-minimal elements of its defining
 point set (its Dickson reduction), never by facets.  Geometric queries --
 membership of a rational point, inclusion of one diagram in another -- are
-answered through exact LP feasibility, which is simple and never rounds.
+answered by the exact maximin LP, the same one the thresholds use, which
+never rounds.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -19,7 +21,7 @@ from .lattice import (
     SupportSet,
     _check_dimension,
     _check_vector,
-    lp_feasible,
+    maximin_lp,
 )
 
 __all__ = [
@@ -71,11 +73,15 @@ class NewtonDiagram:
 
 
 def from_support(support: SupportSet) -> NewtonDiagram:
-    """Dickson reduction: keep only the componentwise-minimal support points."""
-    return NewtonDiagram(
-        dimension=support.dimension,
-        generators=_minimal_elements(support.points),
-    )
+    """Dickson reduction: keep only the componentwise-minimal support points.
+
+    SupportSet has validated every point, and the reduction returns them
+    sorted and reduced, so the diagram skips NewtonDiagram's second check.
+    """
+    diagram = object.__new__(NewtonDiagram)
+    object.__setattr__(diagram, "dimension", support.dimension)
+    object.__setattr__(diagram, "generators", _minimal_elements(support.points))
+    return diagram
 
 
 def from_points(points: Iterable[Sequence[int]], dimension: int) -> NewtonDiagram:
@@ -96,19 +102,25 @@ def weight_of(diagram: NewtonDiagram, weights: Sequence[int]) -> int:
 def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> bool:
     """Membership of a rational point in the diagram.
 
-    The point lies in the diagram iff it dominates a convex combination of
-    the generators: exists lambda >= 0 with sum(lambda) = 1 and
-    sum(lambda_m * m) <= point componentwise.
+    The point p lies in the diagram iff it dominates a convex combination of
+    the generators, that is iff min over the simplex of lambda of
+    max_i (sum lambda_m m - p)_i is <= 0.  By minimax duality this is
+    maximin(m - p) <= 0; with q the lcm of p's denominators and
+    C = max(0, max_i q p_i) the shifted generators q(m - p) + C*1 are
+    nonnegative integers, and their maximin is q * maximin(m - p) + C.
     """
     p = tuple(point)
     if len(p) != diagram.dimension:
         raise DimensionMismatchError(
             f"point {p} has length {len(p)}, expected {diagram.dimension}"
         )
-    gens = diagram.generators
-    constraints = [((1,) * len(gens), "=", 1)]
-    constraints += [([m[i] for m in gens], "<=", x) for i, x in enumerate(p)]
-    return lp_feasible(constraints)
+    if not all(type(x) is int or isinstance(x, Fraction) for x in p):
+        raise ValueError(f"point {p} has a coordinate that is not an int or Fraction")
+    q = math.lcm(*(x.denominator for x in p))
+    qp = [int(q * x) for x in p]
+    c = max(0, *qp)
+    shifted = [tuple(q * mi - x + c for mi, x in zip(m, qp)) for m in diagram.generators]
+    return maximin_lp(shifted, diagram.dimension).value <= c
 
 
 def includes(big: NewtonDiagram, small: NewtonDiagram) -> bool:

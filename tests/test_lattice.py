@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thresholdkit
+from thresholdkit.engine import _ray_seed
 from thresholdkit import (
     DimensionMismatchError,
     InadmissibleWeightError,
@@ -23,7 +24,8 @@ from thresholdkit import (
     check_admissible_weight,
     fraction_to_json,
     SupportSet,
-    lp_feasible,
+    contains_point,
+    from_points,
     maximin_lp,
     parse_polynomial,
     primitive,
@@ -259,8 +261,8 @@ def _solve_square(rows, rhs):
     return [m[i][-1] for i in range(n)]
 
 
-def _maximin_by_vertex_enumeration(gens, n):
-    """Oracle: check every basic solution of the maximin system.
+def _basic_feasible_solutions(gens, n):
+    """Every basic feasible solution (u, t) of the maximin system.
 
     Variables (u_1..u_n, t).  Equalities considered: sum(u) = 1 always, plus
     any choice of n constraints among {u_i = 0} and {<u, m> = t}.
@@ -275,7 +277,6 @@ def _maximin_by_vertex_enumeration(gens, n):
         row = [F(x) for x in m] + [F(-1)]
         rows_pool.append((row, F(0)))
 
-    best = None
     base_row = ([F(1)] * n + [F(0)], F(1))
     for chosen in combinations(rows_pool, n):
         rows = [base_row[0]] + [r for r, _ in chosen]
@@ -288,9 +289,12 @@ def _maximin_by_vertex_enumeration(gens, n):
             continue
         if any(sum(ux * mx for ux, mx in zip(u, m)) < t for m in gens):
             continue
-        if best is None or t > best:
-            best = t
-    return best
+        yield tuple(u), t
+
+
+def _maximin_by_vertex_enumeration(gens, n):
+    """Oracle: the best t over every basic feasible solution."""
+    return max(t for _, t in _basic_feasible_solutions(gens, n))
 
 
 @given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
@@ -350,9 +354,11 @@ def test_maximin_validates_generators_like_every_vector():
 
 
 def _reference_solve_standard(constraints, objective):
-    """The wide-tableau kernel that stored one artificial column per row:
-    the reference the narrow kernel must reproduce.  Returns its result and
-    the number of pivots it made."""
+    """The general two-phase kernel, with one artificial column per row, that
+    solved every LP before the slack-basis maximin kernel: the reference for
+    t* and for feasibility.  Takes rows (coeffs, rel, rhs) over x >= 0 and
+    returns ((x, value, slack reduced costs, d) or None if infeasible, the
+    number of pivots it made)."""
     pivots = 0
 
     def eliminate(row, pivot_row, col, p, d):
@@ -431,26 +437,11 @@ def _reference_solve_standard(constraints, objective):
     return ([x.get(j, 0) for j in range(nvars)], -cost[-1], cost[nvars:k], d), pivots
 
 
-def _counting_solve_standard(monkeypatch, constraints, objective):
-    """lattice._solve_standard's result and the number of pivots it made."""
-    pivots = 0
-    pivot = thresholdkit.lattice._pivot
-
-    def counting(*args):
-        nonlocal pivots
-        pivots += 1
-        return pivot(*args)
-
-    monkeypatch.setattr(thresholdkit.lattice, "_pivot", counting)
-    try:
-        return thresholdkit.lattice._solve_standard(constraints, objective), pivots
-    finally:
-        monkeypatch.undo()
-
-
-def test_narrow_kernel_matches_wide_tableau_on_maximin_lps(monkeypatch):
-    # the rows maximin_lp states; sets with the origin included, where the
-    # reduced-cost argument for identical pivots does not apply
+def test_narrow_kernel_matches_wide_tableau_on_maximin_lps():
+    # the slack-basis kernel takes another pivot path than the wide tableau
+    # and may end at another vertex of the optimal face: t* must agree, and
+    # the vertex and the multipliers must certify it, also with the origin
+    # included
     rng = random.Random(1010)
     with_origin = 0
     for _ in range(600):
@@ -460,36 +451,32 @@ def test_narrow_kernel_matches_wide_tableau_on_maximin_lps(monkeypatch):
             gens = sorted({(0,) * n, *gens})
         with_origin += (0,) * n in gens
         rows = [((1,) * n + (0,), "=", 1)] + [(m + (-1,), ">=", 0) for m in gens]
-        objective = (0,) * n + (1,)
-        got = _counting_solve_standard(monkeypatch, rows, objective)
-        assert got == _reference_solve_standard(rows, objective), gens
+        (_, value, _, d_ref), _ = _reference_solve_standard(rows, (0,) * n + (1,))
+        u, t, lam, d = thresholdkit.lattice._solve_maximin(gens, n)
+        assert F(t, d) == F(value, d_ref), gens
+        assert sum(u) == d and min(u) >= 0, gens
+        assert min(sum(a * b for a, b in zip(u, m)) for m in gens) == t, gens
+        assert min(lam) >= 0 and sum(lam) == d, gens
+        assert max(sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)) <= t, gens
     assert with_origin >= 50
 
 
 def test_narrow_kernel_agrees_with_wide_tableau_on_feasibility():
-    # the pivot path may differ (the wide tableau could pivot an artificial
-    # back in), the answer may not
+    # contains_point asks the maximin LP of the shifted generators; the wide
+    # tableau asks the membership system sum lam = 1, sum lam_m m <= p
     rng = random.Random(1011)
     seen = {True: 0, False: 0}
-    redundant = negative = 0
-    for _ in range(1500):
-        nvars = rng.randint(1, 5)
-        cons = []
-        for _ in range(rng.randint(1, 6)):
-            coeffs = tuple(rng.randint(-3, 3) for _ in range(nvars))
-            rhs = rng.choice([rng.randint(-4, 4), F(rng.randint(-9, 9), rng.randint(1, 4))])
-            cons.append((coeffs, rng.choice(["<=", "=", ">="]), rhs))
-        if rng.random() < 0.2:
-            coeffs, _, rhs = cons[0]
-            k = rng.randint(-2, 2) or 1
-            cons.append((tuple(k * c for c in coeffs), "=", k * rhs))
-            cons[0] = (coeffs, "=", rhs)
-            redundant += 1
-        negative += any(rhs < 0 for _, _, rhs in cons)
-        expected = _reference_solve_standard(cons, (0,) * nvars)[0] is not None
-        assert lp_feasible(cons) == expected, cons
+    for _ in range(3000):
+        n = rng.randint(2, 5)
+        pts = {tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+        diagram = from_points(pts, n)
+        gens = diagram.generators
+        p = tuple(F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(n))
+        cons = [((1,) * len(gens), "=", 1)] + [([m[i] for m in gens], "<=", x) for i, x in enumerate(p)]
+        expected = _reference_solve_standard(cons, (0,) * len(gens))[0] is not None
+        assert contains_point(diagram, p) == expected, (gens, p)
         seen[expected] += 1
-    assert min(seen.values()) >= 300 and redundant >= 200 and negative >= 500
+    assert min(seen.values()) >= 500
 
 
 _VERTICES = Path(__file__).resolve().parent / "data" / "maximin_vertices.json"
@@ -497,34 +484,40 @@ _VERTICES = Path(__file__).resolve().parent / "data" / "maximin_vertices.json"
 
 def test_maximin_vertex_is_pinned():
     # Brieskorn triples 2 <= a <= b <= c <= 12 and seeded random 2- to
-    # 4-variable diagrams, with the (value, direction) the Fraction simplex
-    # returned on them; a new kernel must reach the same optimal vertex
+    # 4-variable diagrams, with the (value, direction) the kernel returns on
+    # them; a new kernel must reach the same optimal vertex
     entries = json.loads(_VERTICES.read_text(encoding="utf-8"))
     assert len(entries) == 328
     moved = []
+    no_seed = 0
     for e in entries:
-        sol = maximin_lp([tuple(g) for g in e["points"]], e["n"])
+        gens = [tuple(g) for g in e["points"]]
+        sol = maximin_lp(gens, e["n"])
         got = {"value": fraction_to_json(sol.value),
                "direction": [fraction_to_json(u) for u in sol.direction]}
         if got != {"value": e["value"], "direction": e["direction"]}:
             moved.append(f"{e['points']}: {got} != {e['value']}, {e['direction']}")
+        # the ray seed is missing only where the whole optimal face is one axis
+        if _ray_seed(sol.direction) is None:
+            no_seed += 1
+            face = {u for u, t in _basic_feasible_solutions(gens, e["n"]) if t == sol.value}
+            assert face == {sol.direction}, e["points"]
     assert moved == []
+    assert no_seed == 17
 
 
 _CORRUPT_VERTEX = """
-import sys
-from fractions import Fraction
 import thresholdkit.lattice as lattice
 
 assert False, "this script must run under python -O"
-solve = lattice._solve_standard
+solve = lattice._solve_maximin
 
 def corrupted(*args):
-    x, *rest = solve(*args)
-    x[0] += Fraction(1, 2)  # the direction no longer sums to 1
-    return (x, *rest)
+    u, *rest = solve(*args)
+    u[0] += 1  # the direction no longer sums to d
+    return (u, *rest)
 
-lattice._solve_standard = corrupted
+lattice._solve_maximin = corrupted
 try:
     lattice.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
 except AssertionError:
@@ -546,25 +539,25 @@ def test_maximin_rejects_corrupt_vertex_under_optimize():
     assert _run_optimized(_CORRUPT_VERTEX) == "rejected"
 
 
-# For x^2 + y^3 + z^6 the kernel returns d = 36 and slack reduced costs
-# (-6, -12, -18) for the sorted generators (0,0,6), (0,3,0), (2,0,0): the
-# multipliers lam = (1/6, 1/3, 1/2) give p = (1, 1, 1) = t.
+# For x^2 + y^3 + z^6 the kernel returns d = 36 and lam = (6, 12, 18) for
+# the sorted generators (0,0,6), (0,3,0), (2,0,0): the multipliers
+# (1/6, 1/3, 1/2) give p = (1, 1, 1) = t.
 _CORRUPT_DUALS = """
 import thresholdkit.lattice as lattice
 
 assert False, "this script must run under python -O"
-solve = lattice._solve_standard
+solve = lattice._solve_maximin
 
 def shifted(shift):
     def corrupted(*args):
-        x, value, slack_costs, d = solve(*args)
-        return x, value, [c - s for c, s in zip(slack_costs, shift)], d
+        u, t, lam, d = solve(*args)
+        return u, t, [q + s for q, s in zip(lam, shift)], d
     return corrupted
 
 # no shift; one unit more on lam_0 (sum 37/36); one unit moved from lam_2 to
 # lam_0 (sum 1 and lam >= 0, but p_2 = 42/36 > t)
 for shift in [(0, 0, 0), (1, 0, 0), (1, 0, -1)]:
-    lattice._solve_standard = shifted(shift)
+    lattice._solve_maximin = shifted(shift)
     try:
         lattice.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
         print("accepted")
@@ -609,79 +602,3 @@ def test_package_exports_every_module_all():
         mod = importlib.import_module(f"thresholdkit.{module}")
         for name in mod.__all__:
             assert getattr(thresholdkit, name) is getattr(mod, name), f"{module}.{name}"
-
-
-# ---------------------------------------------------------------------------
-# lp_feasible
-# ---------------------------------------------------------------------------
-
-def test_lp_feasible_simple_system():
-    assert lp_feasible([
-        ([1, 1], "=", 1),
-        ([2, 0], "<=", 5),
-        ([0, 3], "<=", 5),
-    ])
-
-
-def test_lp_feasible_contradiction():
-    assert not lp_feasible([
-        ([1], "=", 1),
-        ([1], "<=", F(1, 2)),
-    ])
-
-
-def test_lp_feasible_membership_system_point_outside():
-    # (1, 1, 0) sits strictly under the diagram of x^2 + y^3 + z^6;
-    # no convex combination of the generators fits under it.
-    gens = [(2, 0, 0), (0, 3, 0), (0, 0, 6)]
-    point = (1, 1, 0)
-    constraints = [([1, 1, 1], "=", 1)]
-    for i in range(3):
-        constraints.append(([m[i] for m in gens], "<=", point[i]))
-    assert not lp_feasible(constraints)
-
-
-def test_lp_feasible_membership_system_point_on_facet():
-    # (1, 1, 1) = (1/2)(2,0,0) + (1/3)(0,3,0) + (1/6)(0,0,6) lies on the facet.
-    gens = [(2, 0, 0), (0, 3, 0), (0, 0, 6)]
-    constraints = [([1, 1, 1], "=", 1)]
-    for i in range(3):
-        constraints.append(([m[i] for m in gens], "<=", 1))
-    assert lp_feasible(constraints)
-
-
-def test_lp_feasible_rejects_ragged_constraints():
-    with pytest.raises(DimensionMismatchError):
-        lp_feasible([([1, 2], "<=", 3), ([1], ">=", 0)])
-
-
-def test_lp_feasible_greater_equal():
-    assert lp_feasible([([1, 0], ">=", 2), ([0, 1], "<=", 1)])
-    assert not lp_feasible([([1, 1], "<=", 1), ([1, 1], ">=", 2)])
-
-
-def test_lp_feasible_accepts_only_int_and_fraction_entries():
-    # a float row would let binary rounding decide an exact question
-    for bad in ([([0.5, 1], "<=", 2)], [([1, 1], "=", 1.0)],
-                [([True, 1], "<=", 2)], [([1, 1], "<=", "2")]):
-        with pytest.raises(ValueError, match="not an int or Fraction"):
-            lp_feasible(bad)
-    assert lp_feasible([([F(1, 10), F(2, 10), F(7, 10)], "=", 1), ([1, 0, 0], "<=", F(1, 3))])
-
-
-def test_lp_feasible_drives_out_an_artificial_on_a_negative_entry(monkeypatch):
-    # phase 1 ends with an artificial basic at 0 whose row has a negative
-    # entry; the pivot on it must keep the common denominator positive
-    signs = []
-    pivot = thresholdkit.lattice._pivot
-
-    def recording(rows, cost, basis, d, r, c):
-        signs.append(rows[r][c] > 0)
-        new_d = pivot(rows, cost, basis, d, r, c)
-        assert new_d > 0
-        return new_d
-
-    monkeypatch.setattr(thresholdkit.lattice, "_pivot", recording)
-    assert lp_feasible([([2, 1], "=", 1), ([0, 1], ">=", 1)])
-    assert False in signs
-    assert not lp_feasible([([2, 1], "=", 1), ([0, 1], ">=", 2)])

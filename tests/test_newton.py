@@ -223,6 +223,24 @@ def test_contains_point_rejects_float_coordinates():
     assert contains_point(d, (F(1, 10), F(2, 10), F(7, 10)))
 
 
+def test_contains_point_accepts_only_int_and_fraction_coordinates():
+    # a float, bool or string coordinate would let rounding or coercion
+    # decide an exact question
+    d = from_points([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    for bad in [(0.5, 1, 0), (1, 1, 1.0), (True, 1, 0), (1, 1, "2")]:
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            contains_point(d, bad)
+    assert contains_point(d, (F(1, 10), F(2, 10), F(7, 10)))
+    assert not contains_point(d, (F(1, 10), F(2, 10), F(2, 3)))
+
+
+def test_contains_point_dominates_both_generators():
+    d = from_points([(2, 0), (0, 3)], 2)
+    assert contains_point(d, (5, 5))
+    assert contains_point(d, (1, F(3, 2)))
+    assert not contains_point(d, (1, F(7, 5)))
+
+
 def test_contains_point_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         contains_point(from_points([(2, 0), (0, 2)], 2), (1, 1, 1))
