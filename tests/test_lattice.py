@@ -479,6 +479,31 @@ def test_narrow_kernel_agrees_with_wide_tableau_on_feasibility():
     assert min(seen.values()) >= 500
 
 
+def _membership_system_feasible(gens, point):
+    """The system sum lam = 1, lam >= 0, sum lam_m m <= point, asked as maximin.
+
+    It is feasible iff maximin(m - point) <= 0; with the integer point
+    shifted by C = max(point) the generators m - point + C are nonnegative.
+    """
+    c = max(0, *point)
+    shifted = [tuple(mi - x + c for mi, x in zip(m, point)) for m in gens]
+    feasible = maximin_lp(shifted, len(point)).value <= c
+    cons = [((1,) * len(gens), "=", 1)] + [([m[i] for m in gens], "<=", x) for i, x in enumerate(point)]
+    assert feasible == (_reference_solve_standard(cons, (0,) * len(gens))[0] is not None)
+    return feasible
+
+
+def test_lp_feasible_membership_system_point_outside():
+    # (1, 1, 0) sits strictly under the diagram of x^2 + y^3 + z^6;
+    # no convex combination of the generators fits under it.
+    assert not _membership_system_feasible([(2, 0, 0), (0, 3, 0), (0, 0, 6)], (1, 1, 0))
+
+
+def test_lp_feasible_membership_system_point_on_facet():
+    # (1, 1, 1) = (1/2)(2,0,0) + (1/3)(0,3,0) + (1/6)(0,0,6) lies on the facet.
+    assert _membership_system_feasible([(2, 0, 0), (0, 3, 0), (0, 0, 6)], (1, 1, 1))
+
+
 _VERTICES = Path(__file__).resolve().parent / "data" / "maximin_vertices.json"
 
 
