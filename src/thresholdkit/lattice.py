@@ -156,27 +156,13 @@ def check_admissible_weight(w: Sequence[int], dimension: int | None = None) -> W
 
 DEFAULT_NAMED_VARIABLES = ("x", "y", "z", "w")
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/]))")
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/])|(?P<bad>\S)")
+_INDEXED_RE = re.compile(r"x([1-9])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for the polynomial grammar.
+def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict[str, int]]:
+    """Parse the polynomial grammar into (coefficient, exponents) terms and
+    the first position of each variable, in order of appearance.
 
     polynomial := ['+'|'-'] term (('+'|'-') term)*
     term       := coefficient ['*' factor ('*' factor)*] | factor ('*' factor)*
@@ -184,134 +170,98 @@ class _Parser:
     coefficient:= integer ['/' positive-integer]
 
     A bare coefficient is a constant term (exponent vector 0), so input like
-    "1 + x" parses; downstream threshold code rejects it as a unit.
+    "1 + x" parses; downstream threshold code rejects it as a unit.  Every
+    character is tokenized before any grammar error is raised.
     """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    if not tokens:
+        raise ParseError("empty polynomial", 0)
+    tokens.append((None, None, len(text)))  # end of text
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-        self.positions: dict[str, int] = {}  # first position of each variable
-
-    def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
-        tok = self.peek()
-        self.idx += 1
-        return tok
-
-    def parse(self) -> list[tuple[Fraction, dict[str, int]]]:
-        if not self.tokens:
-            raise ParseError("empty polynomial", 0)
-        terms = []
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-        terms.append(self.term())
-        while self.idx < len(self.tokens):
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                terms.append(self.term())
-            else:
-                raise ParseError(f"expected '+' or '-', found {val!r}", pos)
-        return terms
-
-    def term(self) -> tuple[Fraction, dict[str, int]]:
-        kind, val, pos = self.peek()
-        coeff = Fraction(1)
+    terms = []
+    positions: dict[str, int] = {}
+    i = 1 if tokens[0][1] in ("+", "-") else 0
+    while True:
+        kind, val, pos = tokens[i]
         exponents: dict[str, int] = {}
-        if kind == "num":
-            coeff = self.coefficient()
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                self.factor(exponents)
-            elif kind in ("name", "num"):
+        if kind == "name":
+            coeff, more = Fraction(1), True
+        elif kind == "num":
+            num, den = int(val), 1
+            if tokens[i + 1][1] == "/":
+                kind, val, pos = tokens[i + 2]
+                if kind != "num":
+                    raise ParseError("expected denominator after '/'", pos)
+                den = int(val)
+                if den == 0:
+                    raise ParseError("zero denominator in coefficient", pos)
+                i += 2
+            coeff = Fraction(num, den)
+            kind, val, pos = tokens[i + 1]
+            if kind in ("name", "num"):
                 raise ParseError("expected '*' between coefficient and factor", pos)
-            else:
-                return coeff, exponents  # bare constant term
-        elif kind == "name":
-            self.factor(exponents)
+            more = val == "*"  # otherwise a bare constant term
+            i += 1 + more
         else:
             raise ParseError(f"expected a term, found {val!r}" if val else "expected a term", pos)
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                self.factor(exponents)
-            else:
-                return coeff, exponents
-
-    def coefficient(self) -> Fraction:
-        kind, val, pos = self.take()
-        num = int(val)
-        kind, nval, npos = self.peek()
-        if kind == "op" and nval == "/":
-            self.take()
-            dkind, dval, dpos = self.peek()
-            if dkind != "num":
-                raise ParseError("expected denominator after '/'", dpos)
-            self.take()
-            den = int(dval)
-            if den == 0:
-                raise ParseError("zero denominator in coefficient", dpos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def factor(self, exponents: dict[str, int]) -> None:
-        kind, name, pos = self.peek()
-        if kind != "name":
-            raise ParseError(f"expected a variable, found {name!r}" if name else "expected a variable", pos)
-        self.take()
-        exp = 1
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            ekind, eval_, epos = self.peek()
-            if ekind == "op" and eval_ == "-":
-                raise ParseError("negative exponent", epos)
-            if ekind != "num":
-                raise ParseError("expected an integer exponent after '^'", epos)
-            self.take()
-            exp = int(eval_)
-            if exp < 1:
-                raise ParseError("exponent must be a positive integer", epos)
-        exponents[name] = exponents.get(name, 0) + exp
-        self.positions.setdefault(name, pos)
+        while more:
+            kind, name, pos = tokens[i]
+            if kind != "name":
+                raise ParseError(f"expected a variable, found {name!r}" if name else "expected a variable", pos)
+            exp = 1
+            if tokens[i + 1][1] == "^":
+                kind, val, epos = tokens[i + 2]
+                if val == "-":
+                    raise ParseError("negative exponent", epos)
+                if kind != "num":
+                    raise ParseError("expected an integer exponent after '^'", epos)
+                exp = int(val)
+                if exp < 1:
+                    raise ParseError("exponent must be a positive integer", epos)
+                i += 2
+            exponents[name] = exponents.get(name, 0) + exp
+            positions.setdefault(name, pos)
+            more = tokens[i + 1][1] == "*"
+            i += 1 + more
+        terms.append((coeff, exponents))
+        kind, val, pos = tokens[i]
+        if kind is None:
+            return terms, positions
+        if val not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', found {val!r}", pos)
+        i += 1
 
 
-def _resolve_variables(names_in_order: list[tuple[str, int]],
-                       variables: Sequence[str] | None) -> tuple[str, ...]:
+def _resolve_variables(positions: dict[str, int], variables: Sequence[str] | None) -> tuple[str, ...]:
     if variables is not None:
         vars_ = tuple(variables)
         if len(set(vars_)) != len(vars_):
             raise ValueError(f"duplicate variable names in {vars_}")
         _check_dimension(len(vars_))
-        for name, pos in names_in_order:
+        for name, pos in positions.items():
             if name not in vars_:
                 raise ParseError(f"unknown variable {name!r}", pos)
         return vars_
 
-    used = [name for name, _ in names_in_order]
-    if all(name in DEFAULT_NAMED_VARIABLES for name in used):
-        n = 4 if "w" in used else 3
-        return DEFAULT_NAMED_VARIABLES[:n]
+    if all(name in DEFAULT_NAMED_VARIABLES for name in positions):
+        return DEFAULT_NAMED_VARIABLES[:4 if "w" in positions else 3]
 
-    indexed = re.compile(r"^x([1-9])$")
-    matches = {name: indexed.match(name) for name in used}
-    if used and all(m is not None for m in matches.values()):
-        top = max(int(m.group(1)) for m in matches.values() if m is not None)
+    matches = [_INDEXED_RE.fullmatch(name) for name in positions]
+    if all(matches):
+        top = max(int(m.group(1)) for m in matches)
         n = max(top, MIN_DIMENSION)
         if n > MAX_DIMENSION:
             raise DimensionMismatchError(f"variable x{top} exceeds the supported dimension {MAX_DIMENSION}")
         return tuple(f"x{i}" for i in range(1, n + 1))
 
-    for name, pos in names_in_order:
-        if name not in DEFAULT_NAMED_VARIABLES and indexed.match(name) is None:
+    for name, pos in positions.items():
+        if name not in DEFAULT_NAMED_VARIABLES and _INDEXED_RE.fullmatch(name) is None:
             raise ParseError(f"unknown variable {name!r}", pos)
-    # a mix of named (x,y,z,w) and indexed (x1..x9) styles
+    # a mix of named (x,y,z,w) and indexed (x1..x8) styles
     raise ParseError("mixed named and indexed variables; declare the variable list explicitly")
 
 
@@ -321,13 +271,11 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
     Coefficients are parsed and then discarded (terms with coefficient 0 are
     dropped); thresholds depend only on the support.  With ``variables=None``
     the ambient variable list is inferred: plain names draw from (x, y, z, w)
-    with dimension 3 unless ``w`` occurs, and indexed names x1..x9 declare
+    with dimension 3 unless ``w`` occurs, and indexed names x1..x8 declare
     dimension max(index, 2).
     """
-    parser = _Parser(text)
-    terms = parser.parse()
-    names_in_order = sorted(parser.positions.items(), key=lambda kv: kv[1])
-    vars_ = _resolve_variables(names_in_order, variables)
+    terms, positions = _parse_terms(text)
+    vars_ = _resolve_variables(positions, variables)
     index = {name: i for i, name in enumerate(vars_)}
 
     points = set()

@@ -65,6 +65,13 @@ def test_ct_parse_error_exits_1(capsys):
     assert "error" in err
 
 
+def test_ct_parse_error_message_and_position(capsys):
+    code, out, err = run(capsys, "ct", "x^2 + + y")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: expected a term, found '+' (position 6)\n"
+
+
 def test_ct_bound_exceeded_exits_3(capsys):
     code, out, _ = run(capsys, "ct", "x^5", "--max-bound", "8")
     assert code == 3
@@ -295,6 +302,17 @@ def test_batch_error_line(tmp_path, capsys):
     assert results[1]["value"] == {"num": 1, "den": 1}
     assert results[2]["error"].startswith("invalid JSON: ")
     assert results[3] == {"error": "line must be a polynomial string or a diagram object"}
+
+
+def test_batch_parse_error_lines_carry_message_and_position(tmp_path, capsys):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text('"x^2 + + y"\n"3x"\n')
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 1
+    assert out == (
+        '{"error": "expected a term, found \'+\' (position 6)"}\n'
+        '{"error": "expected \'*\' between coefficient and factor (position 1)"}\n'
+    )
 
 
 def test_batch_diagram_objects(tmp_path, capsys):

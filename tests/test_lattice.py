@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -220,6 +221,292 @@ def test_parse_print_round_trip(support):
     names = tuple(f"x{i}" for i in range(1, support.dimension + 1))
     text = support_to_text(support, names)
     assert parse_polynomial(text, variables=names) == support
+
+
+# one row per ParseError raise site (both forms where the message names the
+# offending token): input, explicit variables, str(exc), exc.position
+_PARSE_ERRORS = [
+    ("x + #", None, "unexpected character '#' (position 4)", 4),
+    ("   ", None, "empty polynomial (position 0)", 0),
+    ("x y", None, "expected '+' or '-', found 'y' (position 2)", 2),
+    ("3x", None, "expected '*' between coefficient and factor (position 1)", 1),
+    ("x^2 + + y", None, "expected a term, found '+' (position 6)", 6),
+    ("x +", None, "expected a term (position 3)", 3),
+    ("1/x", None, "expected denominator after '/' (position 2)", 2),
+    ("1/0*x", None, "zero denominator in coefficient (position 2)", 2),
+    ("x*+y", None, "expected a variable, found '+' (position 2)", 2),
+    ("x* ", None, "expected a variable (position 3)", 3),
+    ("x^-2", None, "negative exponent (position 2)", 2),
+    ("x^y", None, "expected an integer exponent after '^' (position 2)", 2),
+    ("x^0", None, "exponent must be a positive integer (position 2)", 2),
+    ("x + z^2", ("x", "y"), "unknown variable 'z' (position 4)", 4),
+    ("x + q^2", None, "unknown variable 'q' (position 4)", 4),
+    ("x + x1", None, "mixed named and indexed variables; declare the variable list explicitly", None),
+    ("0*x - 0", None, "zero polynomial: no terms with nonzero coefficient", None),
+]
+
+
+@pytest.mark.parametrize("text,variables,message,position", _PARSE_ERRORS)
+def test_parse_error_message_and_position(text, variables, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, variables)
+    assert str(err.value) == message
+    assert err.value.position == position
+
+
+# The recursive-descent parser that preceded the flat one, kept verbatim as
+# the reference for the equivalence test below.
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/]))")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad_pos = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {stripped[0]!r}", bad_pos)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.idx = 0
+        self.positions = {}
+
+    def peek(self):
+        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, len(self.text))
+
+    def take(self):
+        tok = self.peek()
+        self.idx += 1
+        return tok
+
+    def parse(self):
+        if not self.tokens:
+            raise ParseError("empty polynomial", 0)
+        terms = []
+        kind, val, _ = self.peek()
+        if kind == "op" and val in "+-":
+            self.take()
+        terms.append(self.term())
+        while self.idx < len(self.tokens):
+            kind, val, pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.take()
+                terms.append(self.term())
+            else:
+                raise ParseError(f"expected '+' or '-', found {val!r}", pos)
+        return terms
+
+    def term(self):
+        kind, val, pos = self.peek()
+        coeff = Fraction(1)
+        exponents = {}
+        if kind == "num":
+            coeff = self.coefficient()
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                self.factor(exponents)
+            elif kind in ("name", "num"):
+                raise ParseError("expected '*' between coefficient and factor", pos)
+            else:
+                return coeff, exponents
+        elif kind == "name":
+            self.factor(exponents)
+        else:
+            raise ParseError(f"expected a term, found {val!r}" if val else "expected a term", pos)
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.take()
+                self.factor(exponents)
+            else:
+                return coeff, exponents
+
+    def coefficient(self):
+        kind, val, pos = self.take()
+        num = int(val)
+        kind, nval, npos = self.peek()
+        if kind == "op" and nval == "/":
+            self.take()
+            dkind, dval, dpos = self.peek()
+            if dkind != "num":
+                raise ParseError("expected denominator after '/'", dpos)
+            self.take()
+            den = int(dval)
+            if den == 0:
+                raise ParseError("zero denominator in coefficient", dpos)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def factor(self, exponents):
+        kind, name, pos = self.peek()
+        if kind != "name":
+            raise ParseError(f"expected a variable, found {name!r}" if name else "expected a variable", pos)
+        self.take()
+        exp = 1
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.take()
+            ekind, eval_, epos = self.peek()
+            if ekind == "op" and eval_ == "-":
+                raise ParseError("negative exponent", epos)
+            if ekind != "num":
+                raise ParseError("expected an integer exponent after '^'", epos)
+            self.take()
+            exp = int(eval_)
+            if exp < 1:
+                raise ParseError("exponent must be a positive integer", epos)
+        exponents[name] = exponents.get(name, 0) + exp
+        self.positions.setdefault(name, pos)
+
+
+def _reference_resolve_variables(names_in_order, variables):
+    named = ("x", "y", "z", "w")
+    if variables is not None:
+        vars_ = tuple(variables)
+        if len(set(vars_)) != len(vars_):
+            raise ValueError(f"duplicate variable names in {vars_}")
+        if not 2 <= len(vars_) <= 8:
+            raise DimensionMismatchError(f"dimension must be an integer in [2, 8], got {len(vars_)!r}")
+        for name, pos in names_in_order:
+            if name not in vars_:
+                raise ParseError(f"unknown variable {name!r}", pos)
+        return vars_
+
+    used = [name for name, _ in names_in_order]
+    if all(name in named for name in used):
+        n = 4 if "w" in used else 3
+        return named[:n]
+
+    indexed = re.compile(r"^x([1-9])$")
+    matches = {name: indexed.match(name) for name in used}
+    if used and all(m is not None for m in matches.values()):
+        top = max(int(m.group(1)) for m in matches.values() if m is not None)
+        n = max(top, 2)
+        if n > 8:
+            raise DimensionMismatchError(f"variable x{top} exceeds the supported dimension 8")
+        return tuple(f"x{i}" for i in range(1, n + 1))
+
+    for name, pos in names_in_order:
+        if name not in named and indexed.match(name) is None:
+            raise ParseError(f"unknown variable {name!r}", pos)
+    raise ParseError("mixed named and indexed variables; declare the variable list explicitly")
+
+
+def _reference_parse(text, variables=None):
+    parser = _ReferenceParser(text)
+    terms = parser.parse()
+    names_in_order = sorted(parser.positions.items(), key=lambda kv: kv[1])
+    vars_ = _reference_resolve_variables(names_in_order, variables)
+    index = {name: i for i, name in enumerate(vars_)}
+    points = set()
+    for coeff, exponents in terms:
+        if coeff == 0:
+            continue
+        vec = [0] * len(vars_)
+        for name, exp in exponents.items():
+            vec[index[name]] = exp
+        points.add(tuple(vec))
+    if not points:
+        raise ParseError("zero polynomial: no terms with nonzero coefficient")
+    return SupportSet(dimension=len(vars_), points=frozenset(points))
+
+
+_PARSE_ALPHABET = " \t+-*^/0123456789xyzwqab.#(é"
+_EXPLICIT_VARIABLES = [
+    ("a", "b"), ("x", "y"), ("p", "q", "r"), ("u1", "u2", "u3", "u4"),
+    ("a", "a"), ("a",), tuple("abcdefghi"),
+]
+
+
+# message prefixes of the 15 ParseError raise sites; "unknown variable" is
+# raised at two, one for explicit variables and one for inferred ones
+_RAISE_SITES = (
+    "unexpected character", "empty polynomial", "expected '+' or '-'", "expected '*'",
+    "expected a term", "expected denominator", "zero denominator", "expected a variable",
+    "negative exponent", "expected an integer exponent", "exponent must be",
+    "unknown variable", "mixed named", "zero polynomial",
+)
+
+
+def _random_polynomial(rng, names):
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        factors = [
+            name + (f"^{rng.randint(0, 12)}" if rng.random() < 0.6 else "")
+            for name in rng.sample(names, rng.randint(0, min(3, len(names))))
+        ]
+        coeff = rng.choice(["", "", "", "3", "0", "1/2", "12/7", "0/5"])
+        parts = ([coeff] if coeff else []) + factors or [rng.choice(["1", "7"])]
+        terms.append(rng.choice(["*", " * "]).join(parts))
+    text = rng.choice(["", "", "-", "+ "]) + terms[0]
+    for term in terms[1:]:
+        text += rng.choice([" + ", " - ", "+", "-"]) + term
+    return text
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(_PARSE_ALPHABET) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(_PARSE_ALPHABET) + text[i + 1:]
+    return text
+
+
+def _parse_outcome(parse, text, variables):
+    try:
+        return parse(text, variables)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_flat_parser_matches_reference_parser():
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(3500):
+        style = rng.randrange(3)
+        if style == 0:
+            variables, names = None, ["x", "y", "z", "w"]
+        elif style == 1:
+            variables, names = None, [f"x{i}" for i in range(1, rng.choice([4, 9, 10]))]
+        else:
+            variables = rng.choice(_EXPLICIT_VARIABLES)
+            names = list(variables) + (["c"] if rng.random() < 0.2 else [])
+        text = _random_polynomial(rng, names)
+        cases.append((text, variables))
+        cases += [(_mutate(rng, text), variables) for _ in range(3)]
+    for _ in range(6000):
+        text = "".join(rng.choice(_PARSE_ALPHABET) for _ in range(rng.randint(0, 8)))
+        cases.append((text, rng.choice([None, None, ("x", "y"), ("a", "b", "q")])))
+    cases += [(text, variables) for text, variables, _, _ in _PARSE_ERRORS]
+    assert len(cases) >= 20000
+
+    sites, parsed = set(), 0
+    for text, variables in cases:
+        got = _parse_outcome(parse_polynomial, text, variables)
+        assert got == _parse_outcome(_reference_parse, text, variables), (text, variables)
+        parsed += isinstance(got, SupportSet)
+        if isinstance(got, tuple) and got[0] is ParseError:
+            site = next(prefix for prefix in _RAISE_SITES if got[1].startswith(prefix))
+            sites.add((site, variables is not None) if site == "unknown variable" else site)
+    assert len(sites) == len(_RAISE_SITES) + 1, sorted(map(str, sites))
+    assert parsed >= 3000, parsed
 
 
 # ---------------------------------------------------------------------------
