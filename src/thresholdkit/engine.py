@@ -23,7 +23,9 @@ which primes the bound whenever that vector is admissible.  maximin_lp
 returns a unit vector only when the whole optimal face is one coordinate
 axis (e.g. a single generator on an axis); only then is there no ray seed.
 Such diagrams may admit no vector below r*; the search then stops at the
-configured cap and reports a partial result rather than a wrong one.
+configured cap and reports a partial result rather than a wrong one.  The
+LP is solved once per diagram object, on first use, and kept on it:
+ct_diagram, lct_diagram and ct_bruteforce share that one solve.
 
 Within a level, a depth-first search fixes one coordinate at a time; its
 prefixes wait on one explicit stack, pushed in reverse so that they pop in
@@ -48,6 +50,7 @@ from typing import Sequence
 
 from .lattice import (
     InadmissibleWeightError,
+    MaximinSolution,
     WeightVector,
     check_admissible_weight,
     fraction_to_json,
@@ -207,6 +210,16 @@ def _check_no_unit(diagram: NewtonDiagram) -> None:
         )
 
 
+def _maximin(diagram: NewtonDiagram) -> MaximinSolution:
+    """The diagram's maximin LP, solved on first use and kept on the object
+    (outside its fields, so equality, hash and repr do not see it)."""
+    sol = getattr(diagram, "_maximin", None)
+    if sol is None:
+        sol = maximin_lp(diagram.generators, diagram.dimension)
+        object.__setattr__(diagram, "_maximin", sol)
+    return sol
+
+
 def h_value(diagram: NewtonDiagram, weights: Sequence[int]) -> Fraction | _PlusInfinity:
     """(|w|_1 - 1) / wf(w) for an admissible weight vector, or +infinity."""
     w = check_admissible_weight(weights, diagram.dimension)
@@ -314,7 +327,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     cap = _check_cap(DEFAULT_MAX_BOUND if max_bound is None else max_bound, "max_bound")
     _check_no_unit(diagram)
 
-    sol = maximin_lp(diagram.generators, diagram.dimension)
+    sol = _maximin(diagram)
     tstar = sol.value
     rstar = 1 / tstar
 
@@ -341,8 +354,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
 def lct_diagram(diagram: NewtonDiagram) -> Fraction:
     """Continuous relaxation of the threshold: min(1, 1/t*)."""
     _check_no_unit(diagram)
-    sol = maximin_lp(diagram.generators, diagram.dimension)
-    return min(Fraction(1), 1 / sol.value)
+    return min(Fraction(1), 1 / _maximin(diagram).value)
 
 
 def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
@@ -363,7 +375,7 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     _check_no_unit(diagram)
     n = diagram.dimension
     gens = diagram.generators
-    sol = maximin_lp(gens, n)
+    sol = _maximin(diagram)
 
     side = cap + 1
     rows = min(side, max(1, _BLOCK // side))

@@ -156,8 +156,17 @@ def check_admissible_weight(w: Sequence[int], dimension: int | None = None) -> W
 
 DEFAULT_NAMED_VARIABLES = ("x", "y", "z", "w")
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/])|(?P<bad>\S)")
 _INDEXED_RE = re.compile(r"x([1-9])")
+
+
+def _integer(digits: str, pos: int) -> int:
+    """The digit run at pos as an int; a run longer than the interpreter's
+    int-string limit (4300 digits by default) is a ParseError there."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
 
 
 def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict[str, int]]:
@@ -169,9 +178,10 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
     factor     := variable ['^' positive-integer]
     coefficient:= integer ['/' positive-integer]
 
-    A bare coefficient is a constant term (exponent vector 0), so input like
-    "1 + x" parses; downstream threshold code rejects it as a unit.  Every
-    character is tokenized before any grammar error is raised.
+    Integers are runs of ASCII digits.  A bare coefficient is a constant
+    term (exponent vector 0), so input like "1 + x" parses; downstream
+    threshold code rejects it as a unit.  Every character is tokenized
+    before any grammar error is raised.
     """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
@@ -191,12 +201,12 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
         if kind == "name":
             coeff, more = Fraction(1), True
         elif kind == "num":
-            num, den = int(val), 1
+            num, den = _integer(val, pos), 1
             if tokens[i + 1][1] == "/":
                 kind, val, pos = tokens[i + 2]
                 if kind != "num":
                     raise ParseError("expected denominator after '/'", pos)
-                den = int(val)
+                den = _integer(val, pos)
                 if den == 0:
                     raise ParseError("zero denominator in coefficient", pos)
                 i += 2
@@ -219,7 +229,7 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
                     raise ParseError("negative exponent", epos)
                 if kind != "num":
                     raise ParseError("expected an integer exponent after '^'", epos)
-                exp = int(val)
+                exp = _integer(val, epos)
                 if exp < 1:
                     raise ParseError("exponent must be a positive integer", epos)
                 i += 2

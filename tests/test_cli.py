@@ -72,6 +72,20 @@ def test_ct_parse_error_message_and_position(capsys):
     assert err == "parse error: expected a term, found '+' (position 6)\n"
 
 
+def test_ct_non_ascii_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "ct", "x^\u0663+y^2+z^2")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: unexpected character '\u0663' (position 2)\n"
+
+
+def test_ct_over_long_integer_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "ct", "x^" + "9" * 5000 + "+y^2+z^2")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: integer of 5000 digits is too long (position 2)\n"
+
+
 def test_ct_bound_exceeded_exits_3(capsys):
     code, out, _ = run(capsys, "ct", "x^5", "--max-bound", "8")
     assert code == 3
@@ -313,6 +327,20 @@ def test_batch_parse_error_lines_carry_message_and_position(tmp_path, capsys):
         '{"error": "expected a term, found \'+\' (position 6)"}\n'
         '{"error": "expected \'*\' between coefficient and factor (position 1)"}\n'
     )
+
+
+def test_batch_digit_errors_are_error_lines(tmp_path, capsys):
+    path = tmp_path / "jobs.jsonl"
+    lines = ["x^" + "9" * 5000 + "+y^2+z^2", "x^\u0663+y^2+z^2", "x^2+y^3+z^7"]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 1
+    results = [json.loads(line) for line in out.splitlines()]
+    assert results[:2] == [
+        {"error": "integer of 5000 digits is too long (position 2)"},
+        {"error": "unexpected character '\u0663' (position 2)"},
+    ]
+    assert results[2]["value"] == {"num": 5, "den": 6}
 
 
 def test_batch_diagram_objects(tmp_path, capsys):

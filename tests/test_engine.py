@@ -24,6 +24,7 @@ from thresholdkit import (
     ct_brieskorn3,
     ct_bruteforce,
     ct_diagram,
+    diagram_to_json,
     from_points,
     from_support,
     h_value,
@@ -596,3 +597,50 @@ def test_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one LP solve per diagram object
+# ---------------------------------------------------------------------------
+
+def _counting_lp(monkeypatch):
+    real = engine_module.maximin_lp
+    calls = []
+
+    def counted(gens, n):
+        calls.append(gens)
+        return real(gens, n)
+
+    monkeypatch.setattr(engine_module, "maximin_lp", counted)
+    return calls
+
+
+def test_one_lp_solve_per_diagram(monkeypatch):
+    calls = _counting_lp(monkeypatch)
+    d = diagram("x^3+y^7+z^11+x*y*z^2")
+    report = ct_diagram(d)
+    assert lct_diagram(d) == min(F(1), report.relaxation)
+    assert ct_bruteforce(d, 12).relaxation == report.relaxation
+    assert ct_diagram(d) == report
+    assert len(calls) == 1
+
+
+def test_lp_memo_never_crosses_diagram_objects(monkeypatch):
+    calls = _counting_lp(monkeypatch)
+    a, b = diagram("x^2+y^3+z^7"), from_points([(2, 0, 0), (0, 3, 0), (0, 0, 7)], 3)
+    assert a == b and a is not b
+    assert ct_diagram(a) == ct_diagram(b)
+    assert lct_diagram(a) == lct_diagram(b) == F(41, 42)
+    assert len(calls) == 2
+
+
+def test_solved_diagram_is_indistinguishable_from_a_fresh_one():
+    solved, fresh = diagram("x^3+y^7+z^11"), diagram("x^3+y^7+z^11")
+    report = ct_diagram(solved)
+    assert solved == fresh and hash(solved) == hash(fresh)
+    assert repr(solved) == repr(fresh)
+    assert diagram_to_json(solved) == diagram_to_json(fresh)
+    for copied in (pickle.loads(pickle.dumps(solved)), copy.deepcopy(solved)):
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert ct_diagram(copied) == report
+        assert lct_diagram(copied) == F(131, 231)

@@ -246,7 +246,27 @@ _PARSE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text,variables,message,position", _PARSE_ERRORS)
+# integers are ASCII digit runs that int() can read: a non-ASCII digit is an
+# unexpected character, and a run past the int-string limit (4300 digits by
+# default) an error at its first digit, as coefficient, denominator or
+# exponent.  The reference parser below accepts the first and raises a bare
+# ValueError on the second, so the equivalence test leaves these rows out.
+_LONG = "9" * 5000
+_DIGIT_ERRORS = [
+    pytest.param("x^\u0663+y^2+z^2", None, "unexpected character '\u0663' (position 2)", 2,
+                 id="arabic-indic-digit"),
+    pytest.param("2*x + \u0967*y", None, "unexpected character '\u0967' (position 6)", 6,
+                 id="devanagari-digit"),
+    pytest.param(f"{_LONG}*x+y^2", None, "integer of 5000 digits is too long (position 0)", 0,
+                 id="long-coefficient"),
+    pytest.param(f"x + 1/{_LONG}*y", None, "integer of 5000 digits is too long (position 6)", 6,
+                 id="long-denominator"),
+    pytest.param(f"x^{_LONG}+y^2+z^2", None, "integer of 5000 digits is too long (position 2)", 2,
+                 id="long-exponent"),
+]
+
+
+@pytest.mark.parametrize("text,variables,message,position", _PARSE_ERRORS + _DIGIT_ERRORS)
 def test_parse_error_message_and_position(text, variables, message, position):
     with pytest.raises(ParseError) as err:
         parse_polynomial(text, variables)
