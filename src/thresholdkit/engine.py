@@ -25,7 +25,9 @@ axis (e.g. a single generator on an axis); only then is there no ray seed.
 Such diagrams may admit no vector below r*; the search then stops at the
 configured cap and reports a partial result rather than a wrong one.  The
 LP is solved once per diagram object, on first use, and kept on it:
-ct_diagram, lct_diagram and ct_bruteforce share that one solve.
+ct_diagram, lct_diagram and ct_bruteforce share that one solve.  That
+saves a solve only for a caller that makes more than one of these calls
+on one object; the CLI commands make one each.
 
 Within a level, a depth-first search fixes one coordinate at a time; its
 prefixes wait on one explicit stack, pushed in reverse so that they pop in
@@ -212,7 +214,8 @@ def _check_no_unit(diagram: NewtonDiagram) -> None:
 
 def _maximin(diagram: NewtonDiagram) -> MaximinSolution:
     """The diagram's maximin LP, solved on first use and kept on the object
-    (outside its fields, so equality, hash and repr do not see it)."""
+    (outside its fields, so equality, hash and repr do not see it).  It
+    depends on the generators alone, so copies and pickles may carry it."""
     sol = getattr(diagram, "_maximin", None)
     if sol is None:
         sol = maximin_lp(diagram.generators, diagram.dimension)

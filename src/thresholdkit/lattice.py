@@ -160,13 +160,16 @@ _TOKEN_RE = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[
 _INDEXED_RE = re.compile(r"x([1-9])")
 
 
+# longest digit run the grammar accepts, whatever the interpreter's own limit
+_MAX_DIGITS = 4300
+
+
 def _integer(digits: str, pos: int) -> int:
-    """The digit run at pos as an int; a run longer than the interpreter's
-    int-string limit (4300 digits by default) is a ParseError there."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+    """The digit run at pos as an int; a run of more than _MAX_DIGITS
+    digits is a ParseError there."""
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos)
+    return int(digits)
 
 
 def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict[str, int]]:

@@ -274,6 +274,19 @@ def test_parse_error_message_and_position(text, variables, message, position):
     assert err.value.position == position
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-string limit to lift")
+def test_digit_limit_does_not_follow_the_interpreter():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ParseError, match=r"integer of 4301 digits is too long \(position 2\)"):
+            parse_polynomial("x^" + "1" * 4301 + "+y^2+z^2")
+        assert (int("1" * 4300), 0, 0) in parse_polynomial("x^" + "1" * 4300 + "+y^2").points
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # The recursive-descent parser that preceded the flat one, kept verbatim as
 # the reference for the equivalence test below.
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/]))")
