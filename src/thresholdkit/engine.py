@@ -47,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 from typing import Sequence
 
 from .lattice import (
@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BOUND = 10**6
-# most vectors ct_bruteforce evaluates in one pass; bounds its memory
+# most vectors ct_bruteforce packs into one block, a W-bit field each; bounds its memory
 _BLOCK = 4096
 
 STATUS_COMPLETE = "complete"
@@ -360,6 +360,12 @@ def lct_diagram(diagram: NewtonDiagram) -> Fraction:
     return min(Fraction(1), 1 / _maximin(diagram).value)
 
 
+def _packed_ge(lhs: int, rhs: int, guard: int) -> int:
+    """Guard bits of the fields with lhs >= rhs, both below the guard bit.  Carries
+    and borrows move up only, so a field depends on none above it."""
+    return ((lhs | guard) - rhs) & guard
+
+
 def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     """Independent oracle: exhaust admissible vectors in the box [0, cap]^n.
 
@@ -367,12 +373,13 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     completeness claim is made beyond the box, whose size is recorded in
     search_bound.  For each head of the first n-2 coordinates, the box is
     swept in blocks of whole rows of the last coordinate (at most _BLOCK
-    vectors, or one row), with one exact list pass per generator for wf.  A
-    vector can tie or beat the best value at the start of its block only if
-    wf(w) >= need = ceil((|w|_1 - 1) / best); best only decreases, so the
-    vectors kept include every final tie, and only they are tested for
-    admissibility and offered.  nodes, the primitive vectors of the box
-    less the n unit vectors, is a Moebius sum.
+    vectors, or one row), one W-bit field of an int per vector.  A vector can
+    tie or beat the best value num/den at the start of its block only if
+    num * <w, m> + den >= den * |w|_1 for each generator m; one subtraction
+    per m tests every field (_packed_ge), as num <= n * cap and den, <w, m>
+    <= cap * max |m|_1 keep both sides below 2^(W-1).  best only decreases,
+    so the vectors kept, then tested for admissibility and offered, include
+    every final tie.  nodes, the admissible vectors of the box, is a Moebius sum.
     """
     _check_cap(cap, "cap")
     _check_no_unit(diagram)
@@ -382,32 +389,35 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
 
     side = cap + 1
     rows = min(side, max(1, _BLOCK // side))
-    # cell i of a block is (dy, z): row y0 + dy, last coordinate z
-    cells = [(dy, z) for dy in range(rows) for z in range(side)]
-    sums = [dy + z for dy, z in cells]
-    bases = [[dy * m[-2] + z * m[-1] for dy, z in cells] for m in gens]
+    top = cap * max(map(sum, gens))
+    width = (n * cap * top + top + 1).bit_length() + 1
+    # field i = dy * side + z is row y0 + dy, last coordinate z; strings end with field 0
+    ones = ((1 << width * rows * side) - 1) // ((1 << width) - 1)
+    dys = int("".join(format(dy, f"0{width}b") * side for dy in reversed(range(rows))), 2)
+    zs = int("".join(format(z, f"0{width}b") for z in reversed(range(side))) * rows, 2)
+    guard, sums = ones << (width - 1), dys + zs
+    bases = [m[-2] * dys + m[-1] * zs for m in gens]
+    tails = [cap * (m[-2] + m[-1]) for m in gens]
     best = _Best()
-    ones_wf = min(map(sum, gens))
     for head in product(range(side), repeat=n - 2):
         g_head, s_head = math.gcd(*head), sum(head)
         offsets = [sum(map(operator.mul, head, m)) for m in gens]
         for y0 in range(0, side, rows):
-            # wf = off + r, relative to the first generator's offset
-            off, *rest = (o + y0 * m[-2] for o, m in zip(offsets, gens))
-            size = min(rows, side - y0) * side
-            r = bases[0][:size]
-            for base, o in zip(bases[1:], rest):
-                d = o - off
-                r = [a if a < b + d else b + d for a, b in zip(r, base)]
             # before any offer, h(1, ..., 1) bounds the minimum over the box
-            num, den = (best.num, best.den) if best.den else (n - 1, ones_wf)
-            s0 = s_head + y0
-            need = [-(-(s - 1) * den // num) - off for s in range(s0, s0 + rows + cap)]
-            for i in compress(range(size), map(operator.ge, r, map(need.__getitem__, sums))):
-                dy, z = cells[i]
-                y = y0 + dy
-                if s0 + dy + z >= 2 and math.gcd(g_head, y, z) == 1:
-                    best.offer(head + (y, z), s0 + dy + z - 1, off + r[i])
+            num, den = (best.num, best.den) if best.den else (n - 1, min(map(sum, gens)))
+            if num > n * cap or den > top or max(map(operator.add, offsets, tails)) > top:
+                raise AssertionError(f"a packed field of {width} bits overflows")
+            rhs = den * (sums + (s_head + y0) * ones)
+            keep = guard >> max(0, y0 + rows - side) * side * width  # drop fields past a short block
+            for base, o, m in zip(bases, offsets, gens):
+                if keep:  # else no field is left to test
+                    keep &= _packed_ge(num * base + (num * (o + y0 * m[-2]) + den) * ones, rhs, guard)
+            while keep:
+                y, z = divmod((keep & -keep).bit_length() // width - 1 + y0 * side, side)
+                keep &= keep - 1
+                if s_head + y + z >= 2 and math.gcd(g_head, y, z) == 1:
+                    wf = min(o + y * m[-2] + z * m[-1] for o, m in zip(offsets, gens))
+                    best.offer(head + (y, z), s_head + y + z - 1, wf)
     mu = [0, 1] + [0] * (cap - 1)
     for k in range(1, side):
         for j in range(2 * k, side, k):

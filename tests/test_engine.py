@@ -321,6 +321,89 @@ def test_bruteforce_matches_reference_loop_on_random_diagrams(block, monkeypatch
     assert single >= 5 and flat >= 20 and non_convenient >= 40
 
 
+_BIG = 10**40
+
+
+@pytest.mark.parametrize("pts, caps", [
+    # 40-digit exponents, so fields of well over 100 bits; the small
+    # generators decide the value in the first and third, the huge ones
+    # alone in the second and fourth
+    ([(_BIG, 0), (0, 3), (2, 2)], (30,)),
+    ([(_BIG + 7, 1), (3 * _BIG, 2 * _BIG + 1)], (20,)),
+    ([(_BIG, 0, 0), (0, 2, 0), (0, 0, _BIG + 3), (1, 1, 1)], (9,)),
+    ([(_BIG, _BIG + 1, 0), (0, 3 * _BIG, _BIG), (2 * _BIG, 0, 5 * _BIG)], (8,)),
+    # single generators
+    ([(5, 0)], (2, 17, 60)),
+    ([(0, 4)], (2, 17, 60)),
+    ([(2, 3)], (2, 17, 60)),
+    ([(5, 0, 0)], (2, 11, 20)),
+    ([(0, 0, 4)], (2, 11, 20)),
+    ([(2, 3, 1)], (2, 11, 20)),
+    ([(0, 1, 0, 2)], (2, 7)),
+    # two variables at cap 200: blocks of 20 rows, the last one short
+    ([(2, 0), (0, 3)], (200,)),
+    ([(7, 0), (1, 2), (0, 9)], (200,)),
+    ([(3, 1), (0, 5), (4, 0), (1, 3)], (200,)),
+])
+def test_bruteforce_matches_reference_loop_on_edge_cases(pts, caps):
+    d = from_points(pts, len(pts[0]))
+    for cap in caps:
+        assert ct_bruteforce(d, cap) == _reference_bruteforce(d, cap), cap
+
+
+def test_bruteforce_matches_reference_loop_with_short_last_blocks():
+    # under the default _BLOCK a plane of side 65 to 81 is one block of
+    # whole rows and one short one
+    rng = random.Random(1464)
+    for cap in (64, 69, 75, 80):
+        side = cap + 1
+        assert side % (engine_module._BLOCK // side) != 0
+        d = _sample_diagram(rng, 3, rng.randint(2, 5))
+        assert ct_bruteforce(d, cap) == _reference_bruteforce(d, cap), (d, cap)
+
+
+def _pack(values, width):
+    return sum(v << (i * width) for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 23, 64, 150])
+def test_packed_ge_matches_fieldwise_comparison(width):
+    top = (1 << (width - 1)) - 1
+    edge = sorted({0, 1, top - 1, top})
+    guard_bit = 1 << (width - 1)
+    # uniform lanes: every field the same pair, so borrows would chain
+    for a, b in product(edge, repeat=2):
+        guard = _pack([guard_bit] * 50, width)
+        got = engine_module._packed_ge(_pack([a] * 50, width), _pack([b] * 50, width), guard)
+        assert got == (guard if a >= b else 0), (a, b)
+    # mixed lanes: the extremes next to each other and random fields
+    rng = random.Random(width)
+    pairs = list(product(edge, repeat=2)) * 3
+    pairs += [(v, v) for v in (rng.randint(0, top) for _ in range(50))]
+    pairs += [(rng.randint(0, top), rng.randint(0, top)) for _ in range(200)]
+    rng.shuffle(pairs)
+    lhs = _pack([a for a, _ in pairs], width)
+    rhs = _pack([b for _, b in pairs], width)
+    got = engine_module._packed_ge(lhs, rhs, _pack([guard_bit] * len(pairs), width))
+    assert got == _pack([guard_bit if a >= b else 0 for a, b in pairs], width)
+
+
+@pytest.mark.parametrize("scale", ["num", "wf"])
+def test_bruteforce_width_guard_is_a_real_check(scale, monkeypatch):
+    # a best value outside the bounds the field width was sized from must
+    # stop the sweep, also under python -O
+    class Corrupt(engine_module._Best):
+        def offer(self, w, num, wf):
+            if scale == "num":
+                return super().offer(w, num * 10**9, wf)
+            return super().offer(w, num, wf * 10**9)
+
+    monkeypatch.setattr(engine_module, "_Best", Corrupt)
+    # cap 70 in two variables: two blocks, the second checks the first's offers
+    with pytest.raises(AssertionError, match="overflows"):
+        ct_bruteforce(from_points([(2, 0), (0, 3)], 2), 70)
+
+
 def test_bruteforce_matches_reference_loop_on_brieskorn_triples():
     triples = [(a, b, c) for a in range(2, 31) for b in range(a, 31) for c in range(b, 31)]
     for a, b, c in random.Random(25).sample(triples, 100):
@@ -338,10 +421,11 @@ def test_bruteforce_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert report == _reference_bruteforce(d, 800)
-    # a few lists over one block of at most 4096 vectors, each entry an int
-    # or a pair of ints: the sweep peaks near 270 bytes a vector
+    # one block of at most 4096 vectors is a few ints of one 23-bit field a
+    # vector; two of them are parsed from strings of one character a bit,
+    # which the peak, near 50 bytes a vector, is mostly made of
     assert engine_module._BLOCK <= 4096
-    assert peak < 600 * 4096
+    assert peak < 100 * 4096
 
 
 def test_bruteforce_generic_dimension_path():
