@@ -76,8 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_BOUND = 10**6
-# most vectors ct_bruteforce packs into one block, a W-bit field each; bounds its memory
-_BLOCK = 4096
 
 STATUS_COMPLETE = "complete"
 STATUS_BOUND_EXCEEDED = "bound-exceeded"
@@ -360,10 +358,13 @@ def lct_diagram(diagram: NewtonDiagram) -> Fraction:
     return min(Fraction(1), 1 / _maximin(diagram).value)
 
 
-def _packed_ge(lhs: int, rhs: int, guard: int) -> int:
-    """Guard bits of the fields with lhs >= rhs, both below the guard bit.  Carries
-    and borrows move up only, so a field depends on none above it."""
-    return ((lhs | guard) - rhs) & guard
+def _narrow(lo: int, hi: int, a: int, c: int) -> tuple[int, int]:
+    """[lo, hi] cut to the integers x with a * x >= c; empty when lo > hi."""
+    if a > 0:
+        return max(lo, -(-c // a)), hi
+    if a < 0:
+        return lo, min(hi, c // a)
+    return (lo, hi) if c <= 0 else (lo, lo - 1)
 
 
 def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
@@ -371,15 +372,15 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
 
     Reports the minimum over the box and every attaining vector; no
     completeness claim is made beyond the box, whose size is recorded in
-    search_bound.  For each head of the first n-2 coordinates, the box is
-    swept in blocks of whole rows of the last coordinate (at most _BLOCK
-    vectors, or one row), one W-bit field of an int per vector.  A vector can
-    tie or beat the best value num/den at the start of its block only if
-    num * <w, m> + den >= den * |w|_1 for each generator m; one subtraction
-    per m tests every field (_packed_ge), as num <= n * cap and den, <w, m>
-    <= cap * max |m|_1 keep both sides below 2^(W-1).  best only decreases,
-    so the vectors kept, then tested for admissibility and offered, include
-    every final tie.  nodes, the admissible vectors of the box, is a Moebius sum.
+    search_bound.  With num/den the best value at the start of a head of the
+    first n-2 coordinates, w = head + (y, z) can tie or beat it only if
+    num * <w, m> + den >= den * |w|_1, that is y * a_m + z * b_m >= c_m, for
+    each generator m.  Two exact integer cuts (_narrow) select these vectors:
+    first the y for which every m passes with its best z in [0, cap], then,
+    for each such y, the z for which every m passes.  No vector passing the
+    test is skipped, and best only decreases, so the vectors kept, then tested
+    for admissibility and offered, include every final tie.  nodes, the
+    admissible vectors of the box, is a Moebius sum.
     """
     _check_cap(cap, "cap")
     _check_no_unit(diagram)
@@ -388,36 +389,32 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     sol = _maximin(diagram)
 
     side = cap + 1
-    rows = min(side, max(1, _BLOCK // side))
-    top = cap * max(map(sum, gens))
-    width = (n * cap * top + top + 1).bit_length() + 1
-    # field i = dy * side + z is row y0 + dy, last coordinate z; strings end with field 0
-    ones = ((1 << width * rows * side) - 1) // ((1 << width) - 1)
-    dys = int("".join(format(dy, f"0{width}b") * side for dy in reversed(range(rows))), 2)
-    zs = int("".join(format(z, f"0{width}b") for z in reversed(range(side))) * rows, 2)
-    guard, sums = ones << (width - 1), dys + zs
-    bases = [m[-2] * dys + m[-1] * zs for m in gens]
-    tails = [cap * (m[-2] + m[-1]) for m in gens]
     best = _Best()
+    seen = None
     for head in product(range(side), repeat=n - 2):
-        g_head, s_head = math.gcd(*head), sum(head)
-        offsets = [sum(map(operator.mul, head, m)) for m in gens]
-        for y0 in range(0, side, rows):
+        if seen != (best.num, best.den):  # best changed: new coefficients
+            seen = best.num, best.den
             # before any offer, h(1, ..., 1) bounds the minimum over the box
-            num, den = (best.num, best.den) if best.den else (n - 1, min(map(sum, gens)))
-            if num > n * cap or den > top or max(map(operator.add, offsets, tails)) > top:
-                raise AssertionError(f"a packed field of {width} bits overflows")
-            rhs = den * (sums + (s_head + y0) * ones)
-            keep = guard >> max(0, y0 + rows - side) * side * width  # drop fields past a short block
-            for base, o, m in zip(bases, offsets, gens):
-                if keep:  # else no field is left to test
-                    keep &= _packed_ge(num * base + (num * (o + y0 * m[-2]) + den) * ones, rhs, guard)
-            while keep:
-                y, z = divmod((keep & -keep).bit_length() // width - 1 + y0 * side, side)
-                keep &= keep - 1
-                if s_head + y + z >= 2 and math.gcd(g_head, y, z) == 1:
-                    wf = min(o + y * m[-2] + z * m[-1] for o, m in zip(offsets, gens))
-                    best.offer(head + (y, z), s_head + y + z - 1, wf)
+            num, den = seen if best.den else (n - 1, min(map(sum, gens)))
+            # c_m = <head, q_m> - den with q_m = den - num * m on the head
+            coefs = [([den - num * x for x in m[:-2]], num * m[-2] - den, num * m[-1] - den)
+                     for m in gens]
+        cuts = [(sum(map(operator.mul, head, q)) - den, a, b) for q, a, b in coefs]
+        ylo, yhi = 0, cap
+        for c, a, b in cuts:
+            ylo, yhi = _narrow(ylo, yhi, a, c - max(b, 0) * cap)
+            if ylo > yhi:
+                break
+        for y in range(ylo, yhi + 1):
+            zlo, zhi = 0, cap
+            for c, a, b in cuts:
+                zlo, zhi = _narrow(zlo, zhi, b, c - y * a)
+                if zlo > zhi:
+                    break
+            for z in range(zlo, zhi + 1):
+                w = head + (y, z)
+                if sum(w) >= 2 and math.gcd(*w) == 1:
+                    best.offer(w, sum(w) - 1, weight_of(diagram, w))
     mu = [0, 1] + [0] * (cap - 1)
     for k in range(1, side):
         for j in range(2 * k, side, k):

@@ -347,10 +347,8 @@ def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int,
 
 def _pivot(rows: list[list[int]], cost: list[int], basis: list[int],
            d: int, r: int, c: int) -> int:
-    """Pivot on (r, c) and return the new denominator |rows[r][c]|; negating a
-    negative pivot's row first negates the whole result, so d stays > 0."""
-    if rows[r][c] < 0:
-        rows[r] = [-x for x in rows[r]]
+    """Pivot on (r, c) and return the new denominator rows[r][c], which the
+    ratio test in _bland_simplex picks > 0."""
     prow, p = rows[r], rows[r][c]
     s = sum(prow)
     rows[:] = [row if i == r else _eliminate(row, prow, c, p, d, s) for i, row in enumerate(rows)]

@@ -267,6 +267,36 @@ def test_sweep_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+def _patched_value(value):
+    real = cli.brieskorn_threshold
+    return lambda a, b, c: dataclasses.replace(real(a, b, c), value=value)
+
+
+def _sweep_violation(capsys, message, values):
+    # serial, so the patched functions run in this process
+    code, out, err = run(capsys, "sweep", "2")
+    assert code == 4
+    assert out.split("\n")[0] == ",".join(SWEEP_COLUMNS)
+    assert err == (f"sweep: 1 triples, 1 violations; values in [4/5, 1]: {values}\n"
+                   f"sweep violation: (2, 2, 2): {message}\n")
+
+
+def test_sweep_engine_disagreement_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brieskorn_threshold", _patched_value(Fraction(1, 2)))
+    _sweep_violation(capsys, "closed form 1/2 != engine value", "none")
+
+
+def test_sweep_value_in_a_gap_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brieskorn_threshold", _patched_value(Fraction(9, 10)))
+    monkeypatch.setattr(cli, "_engine_brieskorn", lambda a, b, c, max_bound: Fraction(9, 10))
+    _sweep_violation(capsys, "value 9/10 falls in the forbidden gap", "9/10")
+
+
+def test_sweep_lct_below_ct_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lct_brieskorn", lambda exponents: Fraction(1, 2))
+    _sweep_violation(capsys, "lct 1/2 below ct 1", "1")
+
+
 @pytest.mark.parametrize("value", ["0", "-4"])
 @pytest.mark.parametrize("command", ["sweep", "batch"])
 def test_parallel_below_one_exits_1(tmp_path, capsys, command, value):
@@ -277,6 +307,13 @@ def test_parallel_below_one_exits_1(tmp_path, capsys, command, value):
     assert code == 1
     assert out == ""
     assert f"argument --parallel: must be at least 1, got {value}" in err
+
+
+def test_parallel_not_an_integer_exits_1(capsys):
+    code, out, err = run(capsys, "sweep", "3", "--parallel", "abc")
+    assert code == 1
+    assert out == ""
+    assert "argument --parallel: invalid int value: 'abc'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +397,24 @@ def test_batch_out_file_atomic(tmp_path, capsys):
     assert out == ""
     assert json.loads(out_path.read_text())["value"] == {"num": 5, "den": 6}
     assert not list(tmp_path.glob(".batch-*"))
+
+
+def test_batch_out_file_failed_replace_leaves_target_and_no_temp(tmp_path, capsys, monkeypatch):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('"x^2+y^3+z^6"\n')
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = run(capsys, "batch", str(jobs), "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 13] Permission denied")
+    assert out_path.read_text() == "old\n"
+    assert not list(tmp_path.glob(".batch-*.tmp"))
 
 
 def test_batch_parallel_matches_serial(tmp_path, capsys):

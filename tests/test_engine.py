@@ -304,10 +304,7 @@ def _sample_diagram(rng, n, k):
     return from_points(sorted(pts), n)
 
 
-@pytest.mark.parametrize("block", [4096, 20])
-def test_bruteforce_matches_reference_loop_on_random_diagrams(block, monkeypatch):
-    # blocks of 20 cut each plane into several, the last one often short
-    monkeypatch.setattr(engine_module, "_BLOCK", block)
+def test_bruteforce_matches_reference_loop_on_random_diagrams():
     rng = random.Random(808)
     single = flat = non_convenient = 0
     for i in range(120):
@@ -325,9 +322,9 @@ _BIG = 10**40
 
 
 @pytest.mark.parametrize("pts, caps", [
-    # 40-digit exponents, so fields of well over 100 bits; the small
-    # generators decide the value in the first and third, the huge ones
-    # alone in the second and fourth
+    # 40-digit exponents, so cut coefficients of well over 100 bits; the
+    # small generators decide the value in the first and third, the huge
+    # ones alone in the second and fourth
     ([(_BIG, 0), (0, 3), (2, 2)], (30,)),
     ([(_BIG + 7, 1), (3 * _BIG, 2 * _BIG + 1)], (20,)),
     ([(_BIG, 0, 0), (0, 2, 0), (0, 0, _BIG + 3), (1, 1, 1)], (9,)),
@@ -340,7 +337,7 @@ _BIG = 10**40
     ([(0, 0, 4)], (2, 11, 20)),
     ([(2, 3, 1)], (2, 11, 20)),
     ([(0, 1, 0, 2)], (2, 7)),
-    # two variables at cap 200: blocks of 20 rows, the last one short
+    # two variables at cap 200: one head, up to 201 values of y
     ([(2, 0), (0, 3)], (200,)),
     ([(7, 0), (1, 2), (0, 9)], (200,)),
     ([(3, 1), (0, 5), (4, 0), (1, 3)], (200,)),
@@ -352,56 +349,27 @@ def test_bruteforce_matches_reference_loop_on_edge_cases(pts, caps):
 
 
 def test_bruteforce_matches_reference_loop_with_short_last_blocks():
-    # under the default _BLOCK a plane of side 65 to 81 is one block of
-    # whole rows and one short one
+    # 3 variables at caps 64 to 80: many heads, each cut on a long row of y
     rng = random.Random(1464)
     for cap in (64, 69, 75, 80):
-        side = cap + 1
-        assert side % (engine_module._BLOCK // side) != 0
         d = _sample_diagram(rng, 3, rng.randint(2, 5))
         assert ct_bruteforce(d, cap) == _reference_bruteforce(d, cap), (d, cap)
 
 
-def _pack(values, width):
-    return sum(v << (i * width) for i, v in enumerate(values))
-
-
-@pytest.mark.parametrize("width", [2, 3, 8, 23, 64, 150])
-def test_packed_ge_matches_fieldwise_comparison(width):
-    top = (1 << (width - 1)) - 1
-    edge = sorted({0, 1, top - 1, top})
-    guard_bit = 1 << (width - 1)
-    # uniform lanes: every field the same pair, so borrows would chain
-    for a, b in product(edge, repeat=2):
-        guard = _pack([guard_bit] * 50, width)
-        got = engine_module._packed_ge(_pack([a] * 50, width), _pack([b] * 50, width), guard)
-        assert got == (guard if a >= b else 0), (a, b)
-    # mixed lanes: the extremes next to each other and random fields
-    rng = random.Random(width)
-    pairs = list(product(edge, repeat=2)) * 3
-    pairs += [(v, v) for v in (rng.randint(0, top) for _ in range(50))]
-    pairs += [(rng.randint(0, top), rng.randint(0, top)) for _ in range(200)]
-    rng.shuffle(pairs)
-    lhs = _pack([a for a, _ in pairs], width)
-    rhs = _pack([b for _, b in pairs], width)
-    got = engine_module._packed_ge(lhs, rhs, _pack([guard_bit] * len(pairs), width))
-    assert got == _pack([guard_bit if a >= b else 0 for a, b in pairs], width)
-
-
-@pytest.mark.parametrize("scale", ["num", "wf"])
-def test_bruteforce_width_guard_is_a_real_check(scale, monkeypatch):
-    # a best value outside the bounds the field width was sized from must
-    # stop the sweep, also under python -O
-    class Corrupt(engine_module._Best):
-        def offer(self, w, num, wf):
-            if scale == "num":
-                return super().offer(w, num * 10**9, wf)
-            return super().offer(w, num, wf * 10**9)
-
-    monkeypatch.setattr(engine_module, "_Best", Corrupt)
-    # cap 70 in two variables: two blocks, the second checks the first's offers
-    with pytest.raises(AssertionError, match="overflows"):
-        ct_bruteforce(from_points([(2, 0), (0, 3)], 2), 70)
+def test_narrow_matches_a_filter_over_the_range():
+    # a and c of both signs and zero, exact multiples (c = 3 * a) and near
+    # misses, empty ranges and cuts, and bounds near +-10^40
+    mags = [0, 1, 2, 3, 5, 6, 7, 12, _BIG, _BIG + 1, 3 * _BIG - 1, 3 * _BIG, 3 * _BIG + 1]
+    values = sorted({s * v for v in mags for s in (1, -1)})
+    ranges = [(0, 12), (-7, 7), (3, 2), (5, 5), (-12, -3), (_BIG - 4, _BIG + 4),
+              (-_BIG - 4, -_BIG + 4)]
+    empty = 0
+    for (lo, hi), a, c in product(ranges, values, values):
+        want = [x for x in range(lo, hi + 1) if a * x >= c]
+        got_lo, got_hi = engine_module._narrow(lo, hi, a, c)
+        assert list(range(got_lo, got_hi + 1)) == want, (lo, hi, a, c)
+        empty += not want
+    assert 0 < empty < len(ranges) * len(values) ** 2
 
 
 def test_bruteforce_matches_reference_loop_on_brieskorn_triples():
@@ -421,11 +389,9 @@ def test_bruteforce_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert report == _reference_bruteforce(d, 800)
-    # one block of at most 4096 vectors is a few ints of one 23-bit field a
-    # vector; two of them are parsed from strings of one character a bit,
-    # which the peak, near 50 bytes a vector, is mostly made of
-    assert engine_module._BLOCK <= 4096
-    assert peak < 100 * 4096
+    # the sweep holds one head and its cut bounds, never a set of vectors;
+    # the peak, near 14 KB, is mostly the Moebius table of 801 entries
+    assert peak < 40 * 801
 
 
 def test_bruteforce_generic_dimension_path():
@@ -618,6 +584,13 @@ def test_bruteforce_matches_engine_on_mixed_diagrams(n, box, seed):
     [(1, 2, 0), (0, 0, 7)],                                 # not convenient
     [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 11)],
     [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 9, 0), (0, 0, 0, 9)],  # 4 tied witnesses
+    # the level search drops a prefix at a generator whose next entry
+    # equals its largest later one (d = 0) and that no x can bring to need
+    # (c > 0)
+    [(1, 5, 2), (4, 4, 4)],
+    [(2, 4, 2), (3, 2, 3), (4, 3, 0)],
+    [(0, 5, 3, 5), (5, 4, 2, 4)],
+    [(2, 4, 4), (2, 5, 3)],
 ])
 def test_bruteforce_matches_engine_at_deeper_bounds(pts):
     d = from_points(pts, len(pts[0]))
@@ -654,6 +627,18 @@ def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):
 
     monkeypatch.setattr(engine, "maximin_lp", halved)
     with pytest.raises(AssertionError, match="exceeds"):
+        ct_diagram(diagram("x^3+y^7+z^11"))
+
+
+def test_ray_seed_check_catches_a_direction_off_the_optimum(monkeypatch):
+    # the optimal t* with a direction that is not optimal: its ray seed
+    # (1, 1, 1) has h = 2/3, not below r* = 131/231, and the check must
+    # refuse it, also under python -O
+    real = engine_module.maximin_lp
+    monkeypatch.setattr(engine_module, "maximin_lp",
+                        lambda gens, n: dataclasses.replace(real(gens, n), direction=(F(1, 3),) * 3))
+    with pytest.raises(AssertionError,
+                       match=r"optimal-ray seed \(1, 1, 1\) does not beat r\* = 131/231"):
         ct_diagram(diagram("x^3+y^7+z^11"))
 
 
