@@ -304,8 +304,10 @@ def _sample_diagram(rng, n, k):
     return from_points(sorted(pts), n)
 
 
-def test_bruteforce_matches_reference_loop_on_random_diagrams():
-    rng = random.Random(808)
+@pytest.mark.parametrize("seed", [4096, 20, 808])
+def test_bruteforce_matches_reference_loop_on_random_diagrams(seed):
+    # independent samples of 120 diagrams each
+    rng = random.Random(seed)
     single = flat = non_convenient = 0
     for i in range(120):
         n = 2 + i % 4
