@@ -55,6 +55,17 @@ def ledger(diagram: NewtonDiagram, weights) -> BlowupLedger:
     )
 
 
+def _chart_index(w: WeightVector, chart: int) -> int:
+    """The 0-based index of a 1-based chart: a non-bool int in range, of positive weight."""
+    if not isinstance(chart, int) or isinstance(chart, bool):
+        raise ValueError(f"chart index must be an integer, got {chart!r}")
+    if not 1 <= chart <= len(w):
+        raise ValueError(f"chart index {chart} out of range 1..{len(w)}")
+    if w[chart - 1] == 0:
+        raise ValueError(f"chart {chart} has weight 0; no chart there")
+    return chart - 1
+
+
 def chart_transform(support: SupportSet, weights, chart: int) -> SupportSet:
     """Strict transform of a support in one chart of the weighted blow-up.
 
@@ -63,11 +74,7 @@ def chart_transform(support: SupportSet, weights, chart: int) -> SupportSet:
     no reduction is applied.
     """
     w = check_admissible_weight(weights, support.dimension)
-    if not 1 <= chart <= support.dimension:
-        raise ValueError(f"chart index {chart} out of range 1..{support.dimension}")
-    i = chart - 1
-    if w[i] == 0:
-        raise ValueError(f"chart {chart} has weight 0; transform undefined")
+    i = _chart_index(w, chart)
     wf = min(sum(wi * mi for wi, mi in zip(w, m)) for m in support.points)
     transformed = set()
     for m in support.points:
@@ -87,13 +94,8 @@ def chart_label(weights, chart: int, dimension: int | None = None) -> str:
     no quotient geometry.
     """
     w = check_admissible_weight(weights, dimension)
-    n = len(w)
-    if not 1 <= chart <= n:
-        raise ValueError(f"chart index {chart} out of range 1..{n}")
-    i = chart - 1
+    n, i = len(w), _chart_index(w, chart)
     order = w[i]
-    if order == 0:
-        raise ValueError(f"chart {chart} has weight 0; no chart there")
     if order == 1:
         return f"C^{n}"
     action = tuple(1 if j == i else (-w[j]) % order for j in range(n))

@@ -11,8 +11,9 @@ All numeric output is exact fractions; JSON mode writes each one as a
 num/den object (fraction_to_json) and is byte-stable across runs.
 
 Exit codes: 0 success / certification holds, 1 parse error or bad
-arguments (including an option the subcommand does not take), 2 unit at
-the origin, 3 search bound exceeded, 4 assertion or verification failure.
+arguments (including an option the subcommand does not take or would
+ignore), 2 unit at the origin, 3 search bound exceeded, 4 assertion or
+verification failure.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def _resolve_max_bound(args) -> int | None:
 def _load_diagram(source: str, variables: Sequence[str] | None) -> NewtonDiagram:
     """A positional input names either a diagram JSON file or polynomial text."""
     if os.path.isfile(source):
+        if variables is not None:
+            raise ValueError("--vars applies to polynomial text, not to a diagram file")
         with open(source, "r", encoding="utf-8") as fh:
             return diagram_from_json(json.load(fh))
     return from_support(parse_polynomial(source, variables=variables))
@@ -123,6 +126,8 @@ def _split_vars(names: str | None) -> tuple[str, ...] | None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ct(args) -> int:
+    if args.brute is not None and args.max_bound is not None:
+        raise ValueError("--max-bound does not apply with --brute, whose cap bounds the box")
     diagram = _load_diagram(args.input, _split_vars(args.vars))
     if args.brute is not None:
         report = ct_bruteforce(diagram, args.brute)
@@ -175,6 +180,8 @@ def _engine_brieskorn(a: int, b: int, c: int, max_bound: int | None) -> Fraction
 
 
 def _cmd_brieskorn(args) -> int:
+    if args.max_bound is not None and not args.verify:
+        raise ValueError("--max-bound applies only with --verify")
     result = brieskorn_threshold(args.a, args.b, args.c)
     lct = lct_brieskorn([args.a, args.b, args.c])
 

@@ -4,14 +4,15 @@ maximin linear-programming kernel.
 Everything in this module is pure and exact: values are Python ints and
 ``fractions.Fraction``; no floats enter at any point.  The one LP is the
 maximin of <u, m> over probability directions u, solved by
-``_solve_maximin``: a dense single-phase simplex from the slack basis,
-which is feasible once u_1 is eliminated through sum(u) = 1.  Its rows are
-integers over one common positive denominator, updated by fraction-free
-(Bareiss) pivoting.  Bland's rule (entering: lowest index with positive
-reduced cost; leaving: lowest basis index among minimal ratios) makes it
-terminate on every input and reach the same optimal vertex on every run and
-platform.  Problems are tiny (dimension <= 8, a few hundred generators at
-most): no sparsity tricks.
+``_solve_maximin``: a single-phase simplex from the slack basis, which is
+feasible once u_1 is eliminated through sum(u) = 1.  Its condensed tableau
+keeps a row per basic and a labelled column per nonbasic variable, never
+the unit columns of the basic ones; entries are integers over one common
+positive denominator, updated by fraction-free (Bareiss) pivoting.  Bland's
+rule (entering: lowest variable with positive reduced cost; leaving: lowest
+basis variable among minimal ratios) makes it terminate on every input and
+reach the same optimal vertex on every run and platform.  Problems are tiny
+(dimension <= 8, a few hundred generators at most): no sparsity tricks.
 """
 
 from __future__ import annotations
@@ -330,42 +331,31 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int,
-               pivot_sum: int | None = None) -> list[int]:
-    """Fraction-free update (p*row - row[col]*pivot_row) / d for a pivot p over
-    denominator d > 0 (pivot_sum: sum(pivot_row)); exact, as every entry is a
-    minor of the first tableau."""
+def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int, pivot_sum: int) -> list[int]:
+    """Update a row off the pivot row: (p*row - f*pivot_row) / d, f = row[col],
+    for a pivot p over denominator d > 0 (pivot_sum: sum(pivot_row)), then -f
+    in column col, which the leaving variable takes.  Exact, as every entry
+    is a signed minor of the first tableau."""
     f = row[col]
     if f == 0 and p == d:
         return row
     new = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
     # the floor remainders are >= 0, so all of them are 0 iff their sum is
-    if p * sum(row) - f * (sum(pivot_row) if pivot_sum is None else pivot_sum) != d * sum(new):
+    if p * sum(row) - f * pivot_sum != d * sum(new):
         raise AssertionError(f"inexact fraction-free division by {d}")
+    new[col] = -f
     return new
 
 
-def _pivot(rows: list[list[int]], cost: list[int], basis: list[int],
-           d: int, r: int, c: int) -> int:
-    """Pivot on (r, c) and return the new denominator rows[r][c], which the
-    ratio test in _bland_simplex picks > 0."""
-    prow, p = rows[r], rows[r][c]
-    s = sum(prow)
-    rows[:] = [row if i == r else _eliminate(row, prow, c, p, d, s) for i, row in enumerate(rows)]
-    cost[:] = _eliminate(cost, prow, c, p, d, s)
-    basis[r] = c
-    return p
-
-
-def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int], d: int,
-                   columns: Sequence[int] | None = None) -> int:
-    """Maximize in place over the entering columns (default: all) and return
-    the final denominator.  cost[j] are reduced costs, cost[-1] is
-    -(objective), all over d > 0."""
-    if columns is None:
-        columns = range(len(cost) - 1)
+def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int],
+                   labels: list[int], d: int, face: set[int] | None = None) -> int:
+    """Maximize in place over the nonbasic variables (default: all, else
+    those in face) and return the final denominator.  Column j holds the
+    nonbasic variable labels[j], row i the basic variable basis[i]; cost[j]
+    are reduced costs, cost[-1] is -(objective), all over d > 0."""
     while True:
-        enter = next((j for j in columns if cost[j] > 0), None)
+        enter = min((j for j, c in enumerate(cost[:-1]) if c > 0 and (face is None or labels[j] in face)),
+                    key=labels.__getitem__, default=None)
         if enter is None:
             return d
         # ratio test by cross-multiplying; ties go to the lowest basis index
@@ -376,7 +366,13 @@ def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int], d: 
                 leave = i
         if leave is None:
             raise AssertionError("unbounded LP; every maximin objective is bounded")
-        d = _pivot(rows, cost, basis, d, leave, enter)
+        prow, p = rows[leave], rows[leave][enter]
+        s = sum(prow)
+        rows[:] = [row if i == leave else _eliminate(row, prow, enter, p, d, s) for i, row in enumerate(rows)]
+        cost[:] = _eliminate(cost, prow, enter, p, d, s)
+        prow[enter] = d  # the pivot row keeps its other entries
+        labels[enter], basis[leave] = basis[leave], labels[enter]
+        d = p
 
 
 def _solve_maximin(gens: Sequence[ExponentVector], n: int) -> tuple[list[int], int, list[int], int]:
@@ -388,39 +384,32 @@ def _solve_maximin(gens: Sequence[ExponentVector], n: int) -> tuple[list[int], i
     sum_{j>=2} (m_1 - m_j) u_j + t + s_m = m_1, and u_1 >= 0 into the row
     sum_{j>=2} u_j + u_1 = 1.  Every right-hand side is >= 0, so the slack
     basis {u_1, s_m} is feasible and one phase of Bland's rule suffices.
-    Columns: u_2..u_n, t, u_1, s_m in generator order; rhs last.
+    Variables, in Bland's order: u_2..u_n, t, u_1, s_m in generator order.
+    Condensed tableau: a row per basic variable (basis), a column per
+    nonbasic one (labels), rhs last; no unit columns are stored.
 
     If the optimum is an axis e_j, a second objective minimizes u_j over the
-    optimal face (the columns with zero reduced cost), and the midpoint of
+    optimal face (the variables with zero reduced cost), and the midpoint of
     the two vertices is returned when they differ: it attains t on the same
     face and keeps the multipliers, so its ray is not an axis.
     """
-    k = len(gens)
-    width = n + 1 + k
-    rows = [[1] * (n - 1) + [0, 1] + [0] * k + [1]]
-    for i, m in enumerate(gens):
-        row = [m[0] - mj for mj in m[1:]] + [1, 0] + [0] * k + [m[0]]
-        row[n + 1 + i] = 1
-        rows.append(row)
-    basis = list(range(n, width))
-    cost = [0] * (width + 1)
-    cost[n - 1] = 1
-    d = _bland_simplex(rows, cost, basis, 1)
+    rows = [[1] * (n - 1) + [0, 1]] + [[m[0] - mj for mj in m[1:]] + [1, m[0]] for m in gens]
+    basis, labels = list(range(n, n + len(rows))), list(range(n))
+    cost = [0] * (n - 1) + [1, 0]  # maximize t
+    d = _bland_simplex(rows, cost, basis, labels, 1)
 
     def direction() -> list[int]:
         x = dict(zip(basis, (row[-1] for row in rows)))
         return [x.get(n, 0)] + [x.get(j, 0) for j in range(n - 1)]
 
-    u, t, lam = direction(), -cost[-1], [-c for c in cost[n + 1:width]]
+    reduced = dict(zip(labels, cost))
+    u, t, lam = direction(), -cost[-1], [-reduced.get(n + 1 + i, 0) for i in range(len(gens))]
     if u.count(0) == n - 1:
         a = next(i for i, ui in enumerate(u) if ui)
-        face = [j for j in range(width) if cost[j] == 0]
-        # maximize -u_a from the current basis, entering only face columns
-        cost = [0] * (width + 1)
-        cost[n if a == 0 else a - 1] = -d
-        for i, bi in enumerate(basis):
-            cost = _eliminate(cost, rows[i], bi, d, d)
-        d2 = _bland_simplex(rows, cost, basis, d, face)
+        # maximize -u_a over the face from the current basis: its costs are the row of u_a
+        face = {*basis, *(v for v, c in reduced.items() if c == 0)}
+        cost = list(rows[basis.index(n if a == 0 else a - 1)])
+        d2 = _bland_simplex(rows, cost, basis, labels, d, face)
         v = direction()
         if v[a] != d2:
             u = [x * d2 + y * d for x, y in zip(u, v)]

@@ -1,6 +1,7 @@
 """Blow-up ledgers, chart transforms, and realization checks."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,20 @@ def test_chart_labels_of_3_2_1():
 def test_chart_label_rejects_zero_weight():
     with pytest.raises(ValueError):
         chart_label((1, 1, 0), 3)
+
+
+@pytest.mark.parametrize("chart", [True, False, 1.0, 2.5, "1", None])
+def test_chart_index_must_be_a_non_bool_int(chart):
+    s = support({(2, 0, 0), (0, 3, 0), (0, 0, 5)})
+    for call in (lambda: chart_transform(s, (3, 2, 1), chart), lambda: chart_label((3, 2, 1), chart)):
+        with pytest.raises(ValueError, match=f"chart index must be an integer, got {re.escape(repr(chart))}"):
+            call()
+
+
+def test_chart_label_validates_chart_index():
+    for chart in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"chart index {chart} out of range 1..3"):
+            chart_label((3, 2, 1), chart)
 
 
 # ---------------------------------------------------------------------------

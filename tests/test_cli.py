@@ -127,6 +127,27 @@ def test_ct_explicit_vars(capsys):
     assert "witnesses: (1,1)" in out
 
 
+def test_vars_with_diagram_file_exits_1(tmp_path, capsys):
+    # the file's JSON fixes the dimension; names were ignored, even too few
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"n": 3, "points": [[3, 0, 0], [0, 7, 0], [0, 0, 11]]}))
+    for argv in (["ct", str(path), "--vars", "a,b"], ["ct", str(path), "--vars", "x,y,z"],
+                 ["lct", str(path), "--vars", "a"], ["verify", str(path), "1/2", "--vars", "a,b"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "error: --vars applies to polynomial text, not to a diagram file\n"
+
+
+def test_ct_brute_with_max_bound_exits_1(capsys):
+    # the box cap bounds the oracle; --max-bound was ignored, even 1
+    for bound in ("1", "10", "100"):
+        code, out, err = run(capsys, "ct", "x^2+y^3+z^6", "--brute", "10", "--max-bound", bound)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --max-bound does not apply with --brute, whose cap bounds the box\n"
+
+
 def test_engine_invariant_failure_exits_4(capsys, monkeypatch):
     import thresholdkit.engine as engine
 
@@ -187,6 +208,14 @@ def test_brieskorn_verify_bound_exceeded_exits_3(capsys):
     assert code == 3
     assert out == ""
     assert "engine search bound exceeded during --verify" in err
+
+
+def test_brieskorn_max_bound_without_verify_exits_1(capsys):
+    for argv in (["2", "3", "97", "--max-bound", "10"], ["2", "3", "5", "--json", "--max-bound", "1"]):
+        code, out, err = run(capsys, "brieskorn", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --max-bound applies only with --verify\n"
 
 
 def test_brieskorn_verify_mismatch_exits_4(capsys, monkeypatch):

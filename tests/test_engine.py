@@ -350,7 +350,7 @@ def test_bruteforce_matches_reference_loop_on_edge_cases(pts, caps):
         assert ct_bruteforce(d, cap) == _reference_bruteforce(d, cap), cap
 
 
-def test_bruteforce_matches_reference_loop_with_short_last_blocks():
+def test_bruteforce_matches_reference_loop_at_large_3_variable_caps():
     # 3 variables at caps 64 to 80: many heads, each cut on a long row of y
     rng = random.Random(1464)
     for cap in (64, 69, 75, 80):
@@ -381,7 +381,7 @@ def test_bruteforce_matches_reference_loop_on_brieskorn_triples():
         assert ct_bruteforce(d, 25) == _reference_bruteforce(d, 25), (a, b, c)
 
 
-def test_bruteforce_memory_is_bounded_by_the_block():
+def test_bruteforce_memory_does_not_grow_with_the_box():
     # 801^2 vectors; one list of them, with its ints, takes tens of MB
     d = from_points([(2, 0), (0, 3)], 2)
     tracemalloc.start()

@@ -851,6 +851,34 @@ def test_maximin_vertex_is_pinned():
     assert no_seed == 17
 
 
+_KERNEL = Path(__file__).resolve().parent / "data" / "maximin_kernel.json"
+
+
+def test_maximin_kernel_output_is_pinned():
+    # 360 seeded diagrams in 2 to 8 variables (random.Random(1616)): 1 to 16
+    # points in [0, 9]^n, every sixth 50 to 80 points, every fourth with one
+    # coordinate lifted on all points so that the first optimum is that axis,
+    # every seventeenth with the origin added.  (u, t, lam, d) is the kernel's
+    # integer output on the sorted generators; axis_step marks the diagrams
+    # whose first optimum is an axis, so that the second objective runs.
+    entries = json.loads(_KERNEL.read_text(encoding="utf-8"))
+    assert len(entries) == 360
+    assert {e["n"] for e in entries} == set(range(2, 9))
+    assert sum(e["axis_step"] for e in entries) == 123
+    assert sum(len(e["gens"]) >= 50 for e in entries) == 53
+    moved = []
+    for e in entries:
+        gens = [tuple(g) for g in e["gens"]]
+        got = thresholdkit.lattice._solve_maximin(gens, e["n"])
+        if got != (e["u"], e["t"], e["lam"], e["d"]):
+            moved.append(f"{e['gens']}: {got}")
+    assert moved == []
+    # the axis step may enter a variable that was basic when it began: the
+    # face holds the basic variables too, or this vertex is missed
+    gens = [(3, 3, 0, 3), (3, 24, 3, 21), (5, 1, 4, 11), (22, 0, 3, 4)]
+    assert thresholdkit.lattice._solve_maximin(gens, 4) == ([4, 1, 0, 3], 24, [8, 0, 0, 0], 8)
+
+
 _CORRUPT_VERTEX = """
 import thresholdkit.lattice as lattice
 
@@ -922,7 +950,7 @@ assert False, "this script must run under python -O"
 # pivot 2 over denominator 3: (2*[1, 1] - 1*[2, 1]) / 3 = [0, 1/3] is not
 # integral, so the update must raise rather than round
 try:
-    lattice._eliminate([1, 1], [2, 1], 0, 2, 3)
+    lattice._eliminate([1, 1], [2, 1], 0, 2, 3, 3)
 except AssertionError:
     print("rejected")
 """
