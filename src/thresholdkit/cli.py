@@ -12,8 +12,9 @@ num/den object (fraction_to_json) and is byte-stable across runs.
 
 Exit codes: 0 success / certification holds, 1 parse error or bad
 arguments (including an option the subcommand does not take or would
-ignore), 2 unit at the origin, 3 search bound exceeded, 4 assertion or
-verification failure.
+ignore, and a search cap below 2), 2 unit at the origin, 3 search bound
+exceeded (for sweep: some triple's engine search, with no violation), 4
+assertion or verification failure.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .engine import (
     SearchBoundExceededError,
     ThresholdReport,
     UnitAtOriginError,
+    _check_cap,
     certify,
     ct_bruteforce,
     ct_diagram,
@@ -66,16 +68,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _resolve_max_bound(args) -> int | None:
-    """--max-bound, else $THRESHOLDKIT_MAX_BOUND, else None (ct_diagram's default)."""
-    if args.max_bound is not None:
-        return args.max_bound
+    """--max-bound, else $THRESHOLDKIT_MAX_BOUND, else None (ct_diagram's
+    default); a given cap is checked here, once, before any search runs."""
+    value = args.max_bound
     env = os.environ.get(ENV_MAX_BOUND)
-    if env is not None:
+    if value is None and env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ValueError(f"{ENV_MAX_BOUND} must be an integer, got {env!r}") from None
-    return None
+    return None if value is None else _check_cap(value, "max_bound")
 
 
 def _load_diagram(source: str, variables: Sequence[str] | None) -> NewtonDiagram:
@@ -220,35 +222,33 @@ def _cmd_brieskorn(args) -> int:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One triple of the sweep: the closed form, the lct formula's value and
+    ct_diagram's value, which is None when the search hit its cap."""
+
     triple: tuple[int, int, int]
-    ct: Fraction
-    case: str
-    weight: tuple[int, int, int]
+    closed: BrieskornResult
     lct: Fraction
-    engine_agrees: bool
+    engine: Fraction | None
 
     def csv_row(self) -> list:
-        a, b, c = self.triple
+        ct = self.closed.value
         return [
-            a, b, c,
-            self.ct.numerator, self.ct.denominator,
-            self.case,
-            self.weight[0], self.weight[1], self.weight[2],
+            *self.triple,
+            ct.numerator, ct.denominator,
+            self.closed.case,
+            *self.closed.weight,
             self.lct.numerator, self.lct.denominator,
-            "true" if self.engine_agrees else "false",
+            "true" if self.engine == ct else "false",
         ]
 
 
 def _sweep_triple(job: tuple[int, int, int, int | None]) -> SweepRecord:
     a, b, c, max_bound = job
-    closed = brieskorn_threshold(a, b, c)
     return SweepRecord(
         triple=(a, b, c),
-        ct=closed.value,
-        case=closed.case,
-        weight=closed.weight,
+        closed=brieskorn_threshold(a, b, c),
         lct=lct_brieskorn([a, b, c]),
-        engine_agrees=_engine_brieskorn(a, b, c, max_bound) == closed.value,
+        engine=_engine_brieskorn(a, b, c, max_bound),
     )
 
 
@@ -271,21 +271,19 @@ def check_sweep(records: Iterable[SweepRecord]) -> tuple[list[str], set[Fraction
     lower, mid = Fraction(4, 5), Fraction(5, 6)
     allowed = {lower, mid, Fraction(1)}
     for rec in records:
-        if not rec.engine_agrees:
-            violations.append(f"{rec.triple}: closed form {rec.ct} != engine value")
-        if lower <= rec.ct <= 1:
-            upper.add(rec.ct)
-            if rec.ct not in allowed:
-                violations.append(f"{rec.triple}: value {rec.ct} falls in the forbidden gap")
-        if rec.lct < rec.ct:
-            violations.append(f"{rec.triple}: lct {rec.lct} below ct {rec.ct}")
+        ct = rec.closed.value
+        if rec.engine is not None and rec.engine != ct:
+            violations.append(f"{rec.triple}: closed form {ct} != engine value")
+        if lower <= ct <= 1:
+            upper.add(ct)
+            if ct not in allowed:
+                violations.append(f"{rec.triple}: value {ct} falls in the forbidden gap")
+        if rec.lct < ct:
+            violations.append(f"{rec.triple}: lct {rec.lct} below ct {ct}")
     return violations, upper
 
 
 def _cmd_sweep(args) -> int:
-    if args.max < 2:
-        print("sweep: max must be >= 2", file=sys.stderr)
-        return EXIT_PARSE
     records = sweep_records(args.max, max_bound=_resolve_max_bound(args),
                             parallel=args.parallel)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -301,7 +299,10 @@ def _cmd_sweep(args) -> int:
     )
     for v in violations:
         print(f"sweep violation: {v}", file=sys.stderr)
-    return EXIT_MISMATCH if violations else EXIT_OK
+    capped = [rec.triple for rec in records if rec.engine is None]
+    for triple in capped:
+        print(f"sweep: engine search bound exceeded for {triple}", file=sys.stderr)
+    return EXIT_MISMATCH if violations else EXIT_BOUND if capped else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +391,13 @@ def _cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, floor: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < floor:
+        raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
     return value
 
 
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bk.set_defaults(func=_cmd_brieskorn)
 
     p_sweep = sub.add_parser("sweep", help="CSV over all triples up to a bound")
-    p_sweep.add_argument("max", type=int)
+    p_sweep.add_argument("max", type=lambda text: _positive_int(text, floor=2))
     _add_options(p_sweep, "--max-bound", "--parallel")
     p_sweep.set_defaults(func=_cmd_sweep)
 

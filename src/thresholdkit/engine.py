@@ -390,16 +390,12 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
 
     side = cap + 1
     best = _Best()
-    seen = None
     for head in product(range(side), repeat=n - 2):
-        if seen != (best.num, best.den):  # best changed: new coefficients
-            seen = best.num, best.den
-            # before any offer, h(1, ..., 1) bounds the minimum over the box
-            num, den = seen if best.den else (n - 1, min(map(sum, gens)))
-            # c_m = <head, q_m> - den with q_m = den - num * m on the head
-            coefs = [([den - num * x for x in m[:-2]], num * m[-2] - den, num * m[-1] - den)
-                     for m in gens]
-        cuts = [(sum(map(operator.mul, head, q)) - den, a, b) for q, a, b in coefs]
+        # before any offer, h(1, ..., 1) bounds the minimum over the box
+        num, den = (best.num, best.den) if best.den else (n - 1, min(map(sum, gens)))
+        s = den * (sum(head) - 1)
+        cuts = [(s - num * sum(map(operator.mul, head, m)), num * m[-2] - den, num * m[-1] - den)
+                for m in gens]
         ylo, yhi = 0, cap
         for c, a, b in cuts:
             ylo, yhi = _narrow(ylo, yhi, a, c - max(b, 0) * cap)

@@ -165,7 +165,7 @@ def test_criterion_08_gap_sweep():
     assert upper <= allowed
     lower, mid = F(4, 5), F(5, 6)
     for rec in records:
-        assert not (lower < rec.ct < mid or mid < rec.ct < 1)
+        assert not (lower < rec.closed.value < mid or mid < rec.closed.value < 1)
     assert elapsed < 600
     observed = sorted(upper)
     _report(8, f"sweep 40: {len(records)} triples, no value in (4/5,5/6) or (5/6,1); "

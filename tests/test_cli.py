@@ -286,8 +286,10 @@ def test_sweep_deterministic(capsys):
 
 
 def test_sweep_rejects_bad_max(capsys):
-    code, _, _ = run(capsys, "sweep", "1")
+    code, out, err = run(capsys, "sweep", "1")
     assert code == 1
+    assert out == ""
+    assert "argument max: must be at least 2, got 1" in err
 
 
 def test_sweep_parallel_matches_serial(capsys):
@@ -324,6 +326,44 @@ def test_sweep_value_in_a_gap_exits_4(capsys, monkeypatch):
 def test_sweep_lct_below_ct_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "lct_brieskorn", lambda exponents: Fraction(1, 2))
     _sweep_violation(capsys, "lct 1/2 below ct 1", "1")
+
+
+_SWEEP_4_CAPPED_AT_3 = """\
+a,b,c,ct_num,ct_den,case,w1,w2,w3,lct_num,lct_den,agrees
+2,2,2,1,1,lcm-rule,1,1,1,1,1,true
+2,2,3,1,1,lcm-rule,1,1,1,1,1,false
+2,2,4,1,1,lcm-rule,1,1,1,1,1,false
+2,3,3,1,1,clamp-1,1,1,1,1,1,false
+2,3,4,1,1,clamp-1,1,1,1,1,1,false
+2,4,4,3,4,lcm-rule,2,1,1,1,1,false
+3,3,3,2,3,lcm-rule,1,1,1,1,1,true
+3,3,4,2,3,lcm-rule,1,1,1,11,12,false
+3,4,4,2,3,s2,1,1,1,5,6,false
+4,4,4,1,2,lcm-rule,1,1,1,3,4,true
+"""
+
+
+def test_sweep_capped_triples_exit_3(capsys):
+    # a capped search is no disagreement: its row still reads false, and
+    # stderr names the triple instead of a violation
+    code, out, err = run(capsys, "sweep", "4", "--max-bound", "3")
+    assert code == 3
+    assert out == _SWEEP_4_CAPPED_AT_3
+    capped = ["(2, 2, 3)", "(2, 2, 4)", "(2, 3, 3)", "(2, 3, 4)",
+              "(2, 4, 4)", "(3, 3, 4)", "(3, 4, 4)"]
+    assert err == "sweep: 10 triples, 0 violations; values in [4/5, 1]: 1\n" + "".join(
+        f"sweep: engine search bound exceeded for {t}\n" for t in capped)
+
+
+def test_sweep_disagreement_with_a_capped_triple_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brieskorn_threshold", _patched_value(Fraction(1, 2)))
+    code, _, err = run(capsys, "sweep", "3", "--max-bound", "3")
+    assert code == 4
+    assert err == ("sweep: 4 triples, 2 violations; values in [4/5, 1]: none\n"
+                   "sweep violation: (2, 2, 2): closed form 1/2 != engine value\n"
+                   "sweep violation: (3, 3, 3): closed form 1/2 != engine value\n"
+                   "sweep: engine search bound exceeded for (2, 2, 3)\n"
+                   "sweep: engine search bound exceeded for (2, 3, 3)\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-4"])
@@ -444,6 +484,28 @@ def test_batch_out_file_failed_replace_leaves_target_and_no_temp(tmp_path, capsy
     assert err.startswith("error: [Errno 13] Permission denied")
     assert out_path.read_text() == "old\n"
     assert not list(tmp_path.glob(".batch-*.tmp"))
+
+
+@pytest.mark.parametrize("by_env", [False, True])
+def test_batch_bad_cap_exits_1_before_any_job(tmp_path, capsys, monkeypatch, by_env):
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('"x^2+y^3+z^6"\n"x^3+y^7+z^11"\n')
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_text("old\n")
+    argv = ["batch", str(jobs), "--out", str(out_path)]
+    if by_env:
+        monkeypatch.setenv("THRESHOLDKIT_MAX_BOUND", "1")
+    else:
+        argv += ["--max-bound", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: max_bound must be an integer >= 2, got 1\n"
+    assert out_path.read_text() == "old\n"
+    assert not list(tmp_path.glob(".batch-*.tmp"))
+    code, out, err = run(capsys, *argv[:2] + argv[4:])  # to stdout
+    assert (code, out) == (1, "")
+    assert err == "error: max_bound must be an integer >= 2, got 1\n"
 
 
 def test_batch_parallel_matches_serial(tmp_path, capsys):

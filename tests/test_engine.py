@@ -267,7 +267,7 @@ def test_bruteforce_matches_engine_on_random_diagrams():
 
 def _reference_bruteforce(d, cap):
     """The box oracle as one plain loop over every vector: the reference
-    that ct_bruteforce's block sweep must reproduce, nodes included."""
+    that ct_bruteforce's interval cuts must reproduce, nodes included."""
     n = d.dimension
     gens = d.generators
     best = engine_module._Best()
