@@ -264,15 +264,16 @@ def sweep_records(max_exponent: int, max_bound: int | None = None,
     return _map(_sweep_triple, jobs, parallel, chunksize=64)
 
 
-def check_sweep(records: Iterable[SweepRecord]) -> tuple[list[str], set[Fraction]]:
-    """Gap assertions; returns (violations, distinct values in [4/5, 1])."""
-    violations = []
-    upper = set()
+def check_sweep(records: Iterable[SweepRecord]) -> tuple[list[str], list[tuple], set[Fraction]]:
+    """Gap assertions; returns (violations, capped triples, distinct values in [4/5, 1])."""
+    violations, capped, upper = [], [], set()
     lower, mid = Fraction(4, 5), Fraction(5, 6)
     allowed = {lower, mid, Fraction(1)}
     for rec in records:
         ct = rec.closed.value
-        if rec.engine is not None and rec.engine != ct:
+        if rec.engine is None:
+            capped.append(rec.triple)
+        elif rec.engine != ct:
             violations.append(f"{rec.triple}: closed form {ct} != engine value")
         if lower <= ct <= 1:
             upper.add(ct)
@@ -280,7 +281,7 @@ def check_sweep(records: Iterable[SweepRecord]) -> tuple[list[str], set[Fraction
                 violations.append(f"{rec.triple}: value {ct} falls in the forbidden gap")
         if rec.lct < ct:
             violations.append(f"{rec.triple}: lct {rec.lct} below ct {ct}")
-    return violations, upper
+    return violations, capped, upper
 
 
 def _cmd_sweep(args) -> int:
@@ -290,7 +291,7 @@ def _cmd_sweep(args) -> int:
     writer.writerow(SWEEP_COLUMNS)
     for rec in records:
         writer.writerow(rec.csv_row())
-    violations, upper = check_sweep(records)
+    violations, capped, upper = check_sweep(records)
     observed = ", ".join(str(v) for v in sorted(upper)) or "none"
     print(
         f"sweep: {len(records)} triples, {len(violations)} violations; "
@@ -299,7 +300,6 @@ def _cmd_sweep(args) -> int:
     )
     for v in violations:
         print(f"sweep violation: {v}", file=sys.stderr)
-    capped = [rec.triple for rec in records if rec.engine is None]
     for triple in capped:
         print(f"sweep: engine search bound exceeded for {triple}", file=sys.stderr)
     return EXIT_MISMATCH if violations else EXIT_BOUND if capped else EXIT_OK

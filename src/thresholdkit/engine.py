@@ -394,6 +394,7 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
         # before any offer, h(1, ..., 1) bounds the minimum over the box
         num, den = (best.num, best.den) if best.den else (n - 1, min(map(sum, gens)))
         s = den * (sum(head) - 1)
+        # map stops at len(head) == n - 2, so <head, m> uses the head of m only
         cuts = [(s - num * sum(map(operator.mul, head, m)), num * m[-2] - den, num * m[-1] - den)
                 for m in gens]
         ylo, yhi = 0, cap

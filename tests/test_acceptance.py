@@ -158,9 +158,11 @@ def test_criterion_07_lct_cross_validation():
 def test_criterion_08_gap_sweep():
     start = time.time()
     records = sweep_records(40)
-    violations, upper = check_sweep(records)
+    violations, capped, upper = check_sweep(records)
     elapsed = time.time() - start
+    # with no capped search, no violation also means engine == closed form
     assert violations == []
+    assert capped == []
     allowed = {F(4, 5), F(5, 6), F(1)}
     assert upper <= allowed
     lower, mid = F(4, 5), F(5, 6)
