@@ -85,7 +85,7 @@ def chart_transform(support: SupportSet, weights, chart: int) -> SupportSet:
     return SupportSet(dimension=support.dimension, points=frozenset(transformed))
 
 
-def chart_label(weights, chart: int, dimension: int | None = None) -> str:
+def chart_label(weights, chart: int) -> str:
     """Quotient-singularity label of a chart: cyclic group order and weights.
 
     Chart i of the w-blow-up is C^n divided by a cyclic group of order w_i
@@ -93,7 +93,7 @@ def chart_label(weights, chart: int, dimension: int | None = None) -> str:
     order 1 collapses to plain affine space.  Only the label is produced,
     no quotient geometry.
     """
-    w = check_admissible_weight(weights, dimension)
+    w = check_admissible_weight(weights)
     n, i = len(w), _chart_index(w, chart)
     order = w[i]
     if order == 1:

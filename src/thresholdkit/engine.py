@@ -24,10 +24,10 @@ returns a unit vector only when the whole optimal face is one coordinate
 axis (e.g. a single generator on an axis); only then is there no ray seed.
 Such diagrams may admit no vector below r*; the search then stops at the
 configured cap and reports a partial result rather than a wrong one.  The
-LP is solved once per diagram object, on first use, and kept on it:
-ct_diagram, lct_diagram and ct_bruteforce share that one solve.  That
-saves a solve only for a caller that makes more than one of these calls
-on one object; the CLI commands make one each.
+LP is the diagram's own, NewtonDiagram.maximin, solved once per diagram
+object on first use: ct_diagram, lct_diagram and ct_bruteforce share that
+one solve.  That saves a solve only for a caller that makes more than one
+of these calls on one object; the CLI commands make one each.
 
 Within a level, a depth-first search fixes one coordinate at a time; its
 prefixes wait on one explicit stack, pushed in reverse so that they pop in
@@ -52,11 +52,9 @@ from typing import Sequence
 
 from .lattice import (
     InadmissibleWeightError,
-    MaximinSolution,
     WeightVector,
     check_admissible_weight,
     fraction_to_json,
-    maximin_lp,
     primitive,
 )
 from .newton import NewtonDiagram, weight_of
@@ -210,17 +208,6 @@ def _check_no_unit(diagram: NewtonDiagram) -> None:
         )
 
 
-def _maximin(diagram: NewtonDiagram) -> MaximinSolution:
-    """The diagram's maximin LP, solved on first use and kept on the object
-    (outside its fields, so equality, hash and repr do not see it).  It
-    depends on the generators alone, so copies and pickles may carry it."""
-    sol = getattr(diagram, "_maximin", None)
-    if sol is None:
-        sol = maximin_lp(diagram.generators, diagram.dimension)
-        object.__setattr__(diagram, "_maximin", sol)
-    return sol
-
-
 def h_value(diagram: NewtonDiagram, weights: Sequence[int]) -> Fraction | _PlusInfinity:
     """(|w|_1 - 1) / wf(w) for an admissible weight vector, or +infinity."""
     w = check_admissible_weight(weights, diagram.dimension)
@@ -328,7 +315,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     cap = _check_cap(DEFAULT_MAX_BOUND if max_bound is None else max_bound, "max_bound")
     _check_no_unit(diagram)
 
-    sol = _maximin(diagram)
+    sol = diagram.maximin
     tstar = sol.value
     rstar = 1 / tstar
 
@@ -355,7 +342,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
 def lct_diagram(diagram: NewtonDiagram) -> Fraction:
     """Continuous relaxation of the threshold: min(1, 1/t*)."""
     _check_no_unit(diagram)
-    return min(Fraction(1), 1 / _maximin(diagram).value)
+    return min(Fraction(1), 1 / diagram.maximin.value)
 
 
 def _narrow(lo: int, hi: int, a: int, c: int) -> tuple[int, int]:
@@ -386,7 +373,6 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     _check_no_unit(diagram)
     n = diagram.dimension
     gens = diagram.generators
-    sol = _maximin(diagram)
 
     side = cap + 1
     best = _Best()
@@ -417,7 +403,7 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
         for j in range(2 * k, side, k):
             mu[j] -= mu[k]
     nodes = sum(mu[k] * ((cap // k + 1) ** n - 1) for k in range(1, side)) - n
-    return best.report(1 / sol.value, cap, nodes, STATUS_COMPLETE)
+    return best.report(1 / diagram.maximin.value, cap, nodes, STATUS_COMPLETE)
 
 
 def certify(diagram: NewtonDiagram, c: Fraction,

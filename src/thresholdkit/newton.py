@@ -1,16 +1,19 @@
 """Extended Newton diagrams: minimal generators and polyhedral queries.
 
 A diagram is stored by the componentwise-minimal elements of its defining
-point set (its Dickson reduction), never by facets.  Geometric queries --
-membership of a rational point, inclusion of one diagram in another -- are
-answered by the exact maximin LP, the same one the thresholds use, which
-never rounds.
+point set (its Dickson reduction), never by facets; its one constructor
+validates the points and reduces them.  The diagram's own maximin LP is
+solved on first use and kept on it (NewtonDiagram.maximin).  Geometric
+queries -- membership of a rational point, inclusion of one diagram in
+another -- are answered by the same exact maximin LP, which never rounds.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -18,6 +21,7 @@ from typing import Iterable, Sequence
 from .lattice import (
     DimensionMismatchError,
     ExponentVector,
+    MaximinSolution,
     SupportSet,
     _check_dimension,
     _check_vector,
@@ -36,16 +40,12 @@ __all__ = [
 ]
 
 
-def _dominates(a: ExponentVector, b: ExponentVector) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
 def _minimal_elements(points: Iterable[ExponentVector]) -> tuple[ExponentVector, ...]:
     """The componentwise-minimal points, sorted, in one pass: a point sorts after
     those it dominates, and a dropped point is dominated by a kept one."""
     keep: list[ExponentVector] = []
     for p in sorted(set(points)):
-        if not any(_dominates(p, q) for q in keep):
+        if not any(all(map(operator.ge, p, q)) for q in keep):
             keep.append(p)
     return tuple(keep)
 
@@ -54,9 +54,10 @@ def _minimal_elements(points: Iterable[ExponentVector]) -> tuple[ExponentVector,
 class NewtonDiagram:
     """Convex hull of the union of shifted positive octants over the generators.
 
-    Generators are pairwise incomparable under componentwise <= and stored
-    sorted, so equal diagrams built from equal point sets compare equal and
-    iterate identically.
+    Takes any nonempty point set and keeps its Dickson reduction: the
+    generators are the componentwise-minimal points, pairwise incomparable
+    under componentwise <= and stored sorted, so diagrams built from point
+    sets with the same reduction compare equal and iterate identically.
     """
 
     dimension: int
@@ -64,24 +65,22 @@ class NewtonDiagram:
 
     def __post_init__(self):
         _check_dimension(self.dimension)
-        gens = tuple(sorted(_check_vector(g, self.dimension, "generator") for g in self.generators))
+        gens = _minimal_elements(_check_vector(g, self.dimension, "generator") for g in self.generators)
         if not gens:
             raise ValueError("diagram must have at least one generator")
-        if _minimal_elements(gens) != gens:
-            raise ValueError(f"generators {gens} repeat or dominate one another; diagram is not reduced")
         object.__setattr__(self, "generators", gens)
+
+    @functools.cached_property
+    def maximin(self) -> MaximinSolution:
+        """The diagram's maximin LP, solved on first use and kept on the object
+        (outside its fields, so equality, hash and repr do not see it).  It
+        depends on the generators alone, so copies and pickles may carry it."""
+        return maximin_lp(self.generators, self.dimension)
 
 
 def from_support(support: SupportSet) -> NewtonDiagram:
-    """Dickson reduction: keep only the componentwise-minimal support points.
-
-    SupportSet has validated every point, and the reduction returns them
-    sorted and reduced, so the diagram skips NewtonDiagram's second check.
-    """
-    diagram = object.__new__(NewtonDiagram)
-    object.__setattr__(diagram, "dimension", support.dimension)
-    object.__setattr__(diagram, "generators", _minimal_elements(support.points))
-    return diagram
+    """Dickson reduction: keep only the componentwise-minimal support points."""
+    return NewtonDiagram(support.dimension, support.points)
 
 
 def from_points(points: Iterable[Sequence[int]], dimension: int) -> NewtonDiagram:

@@ -120,6 +120,8 @@ def test_triple_validation():
         BrieskornTriple(1, 2, 3)
     with pytest.raises(ValueError):
         BrieskornTriple(3, 2, 5)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        BrieskornTriple(2, 3, 4.0)
 
 
 def test_unordered_wrapper_permutes_weight():

@@ -149,15 +149,15 @@ def test_ct_brute_with_max_bound_exits_1(capsys):
 
 
 def test_engine_invariant_failure_exits_4(capsys, monkeypatch):
-    import thresholdkit.engine as engine
+    import thresholdkit.newton as newton
 
-    real = engine.maximin_lp
+    real = newton.maximin_lp
 
     def halved(gens, n):
         sol = real(gens, n)
         return dataclasses.replace(sol, value=sol.value / 2)
 
-    monkeypatch.setattr(engine, "maximin_lp", halved)
+    monkeypatch.setattr(newton, "maximin_lp", halved)
     code, out, err = run(capsys, "ct", "x^3+y^7+z^11")
     assert code == 4
     assert out == ""
@@ -555,13 +555,15 @@ def test_parallel_workers_bounded_by_jobs_and_cpus(tmp_path, capsys, monkeypatch
 
 def test_batch_malformed_diagram_line_is_per_line_error(tmp_path, capsys):
     jobs = tmp_path / "jobs.jsonl"
-    jobs.write_text('{"n": 3, "points": 5}\n"x^2+y^3+z^6"\n{"n": 3, "points": [1, 2]}\n')
+    jobs.write_text('{"n": 3, "points": 5}\n"x^2+y^3+z^6"\n{"n": 3, "points": [1, 2]}\n'
+                    '{"n": 3, "points": []}\n')
     code, out, err = run(capsys, "batch", str(jobs))
     assert code == 1
     assert err == ""
     results = [json.loads(line) for line in out.strip().split("\n")]
     assert "error" in results[0] and "error" in results[2]
     assert results[1]["value"] == {"num": 5, "den": 6}
+    assert out.splitlines()[3] == '{"error": "support set must be nonempty"}'
 
 
 def test_batch_unit_line_is_per_line_error(tmp_path, capsys):
@@ -659,6 +661,17 @@ def test_missing_arguments_exit_1(capsys):
     code = main(["brieskorn", "2"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_module_entry_point_prints_the_readme_json():
+    # python -m thresholdkit runs __main__.py, which no in-process test reaches
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "thresholdkit", "ct", "x^3+y^7+z^11", "--json"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    shown = re.search(r"`ct --json` emits\n\n```\n(.*?)\n```", readme, re.S).group(1)
+    assert done.stdout == shown.replace("\n", "") + "\n"
 
 
 def test_import_loads_only_the_standard_library():

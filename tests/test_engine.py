@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thresholdkit.engine as engine_module
+import thresholdkit.newton as newton_module
 from thresholdkit import (
     INFINITY,
     BrieskornTriple,
@@ -95,6 +96,7 @@ def test_infinity_ordering():
     assert not (INFINITY <= F(10**9))
     assert INFINITY >= F(10**9)
     assert INFINITY > F(0)
+    assert repr(INFINITY) == "+inf"
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +621,15 @@ def test_cut_keeps_search_work_small():
 def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):
     # maximin_lp checks that its vertex is feasible and tight, not that it
     # is optimal; wf <= |w|_1 * t* on the seeds rejects a t* that is too small
-    import thresholdkit.engine as engine
+    import thresholdkit.newton as newton
 
-    real = engine.maximin_lp
+    real = newton.maximin_lp
 
     def halved(gens, n):
         sol = real(gens, n)
         return dataclasses.replace(sol, value=sol.value / 2)
 
-    monkeypatch.setattr(engine, "maximin_lp", halved)
+    monkeypatch.setattr(newton, "maximin_lp", halved)
     with pytest.raises(AssertionError, match="exceeds"):
         ct_diagram(diagram("x^3+y^7+z^11"))
 
@@ -636,8 +638,8 @@ def test_ray_seed_check_catches_a_direction_off_the_optimum(monkeypatch):
     # the optimal t* with a direction that is not optimal: its ray seed
     # (1, 1, 1) has h = 2/3, not below r* = 131/231, and the check must
     # refuse it, also under python -O
-    real = engine_module.maximin_lp
-    monkeypatch.setattr(engine_module, "maximin_lp",
+    real = newton_module.maximin_lp
+    monkeypatch.setattr(newton_module, "maximin_lp",
                         lambda gens, n: dataclasses.replace(real(gens, n), direction=(F(1, 3),) * 3))
     with pytest.raises(AssertionError,
                        match=r"optimal-ray seed \(1, 1, 1\) does not beat r\* = 131/231"):
@@ -648,8 +650,8 @@ def test_search_sandwich_catches_suboptimal_lp(monkeypatch):
     # x^5 has t* = 5 on the axis ray, so there is no ray seed, and (1,1,1)
     # gives wf = 5 <= 3 * 2: only the check inside the level search can see
     # that t* = 2 is too small, at the first vector it evaluates
-    real = engine_module.maximin_lp
-    monkeypatch.setattr(engine_module, "maximin_lp",
+    real = newton_module.maximin_lp
+    monkeypatch.setattr(newton_module, "maximin_lp",
                         lambda gens, n: dataclasses.replace(real(gens, n), value=F(2)))
     with pytest.raises(AssertionError, match=r"wf\(\(1, 0, 1\)\) = 5 exceeds"):
         ct_diagram(from_points([(5, 0, 0)], 3))
@@ -675,14 +677,14 @@ def test_search_leaves_no_cyclic_garbage():
 # ---------------------------------------------------------------------------
 
 def _counting_lp(monkeypatch):
-    real = engine_module.maximin_lp
+    real = newton_module.maximin_lp
     calls = []
 
     def counted(gens, n):
         calls.append(gens)
         return real(gens, n)
 
-    monkeypatch.setattr(engine_module, "maximin_lp", counted)
+    monkeypatch.setattr(newton_module, "maximin_lp", counted)
     return calls
 
 

@@ -223,6 +223,20 @@ def test_parse_print_round_trip(support):
     assert parse_polynomial(text, variables=names) == support
 
 
+def test_print_default_names():
+    support = parse_polynomial("x^2*y + z^3")
+    assert support_to_text(support) == "z^3 + x^2*y"
+    support = parse_polynomial("x1^2 + x2*x5")
+    assert support_to_text(support) == "x2*x5 + x1^2"
+    with pytest.raises(DimensionMismatchError, match="2 variable names for dimension 3"):
+        support_to_text(parse_polynomial("x + y + z"), ("x", "y"))
+
+
+def test_support_set_rejects_no_points():
+    with pytest.raises(ValueError, match="support set must be nonempty"):
+        SupportSet(dimension=3, points=frozenset())
+
+
 # one row per ParseError raise site (both forms where the message names the
 # offending token): input, explicit variables, str(exc), exc.position
 _PARSE_ERRORS = [
@@ -671,6 +685,8 @@ def test_maximin_validates_generators_like_every_vector():
             maximin_lp([bad, (0, 2, 0)], 3)
     with pytest.raises(DimensionMismatchError):
         maximin_lp([(1, 2, 0), (0, 2)], 3)
+    with pytest.raises(ValueError, match="empty generator set"):
+        maximin_lp([], 3)
 
 
 def _reference_solve_standard(constraints, objective):

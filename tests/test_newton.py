@@ -52,25 +52,10 @@ def test_from_support_idempotent():
     assert from_points(d.generators, 3) == d
 
 
-def test_direct_construction_rejects_unreduced():
-    with pytest.raises(ValueError):
-        NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 1, 0)))
-
-
-def test_direct_construction_validates_like_support_set():
-    # the supported range is 2 through 8; in dimension 1 no weight is admissible
-    for n, gens in [(1, ((3,),)), (9, ((1,) * 9,))]:
-        with pytest.raises(DimensionMismatchError):
-            NewtonDiagram(dimension=n, generators=gens)
-    # entries are checked before the generators are sorted
-    for bad in [(True, 0, 0), ("a", 0, 0)]:
-        with pytest.raises(ValueError):
-            NewtonDiagram(dimension=3, generators=(bad, (0, 2, 0)))
-    # a repeated generator is refused like a dominated one
-    with pytest.raises(ValueError, match="diagram is not reduced"):
-        NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)))
-    with pytest.raises(ValueError, match="diagram is not reduced"):
-        NewtonDiagram(dimension=3, generators=((2, 0, 0), (2, 1, 0)))
+def test_direct_construction_reduces_unreduced():
+    gens = ((2, 0, 0), (2, 1, 0))
+    assert NewtonDiagram(dimension=3, generators=gens).generators == ((2, 0, 0),)
+    assert NewtonDiagram(dimension=3, generators=gens) == from_points(gens, 3)
 
 
 def _reference_minimal_elements(points):
@@ -78,6 +63,23 @@ def _reference_minimal_elements(points):
     pts = sorted(set(points))
     return tuple(p for p in pts
                  if not any(q != p and all(x >= y for x, y in zip(p, q)) for q in pts))
+
+
+def test_direct_construction_validates_like_support_set():
+    # the supported range is 2 through 8; in dimension 1 no weight is admissible
+    for n, gens in [(1, ((3,),)), (9, ((1,) * 9,))]:
+        with pytest.raises(DimensionMismatchError):
+            NewtonDiagram(dimension=n, generators=gens)
+    with pytest.raises(ValueError, match="diagram must have at least one generator"):
+        NewtonDiagram(3, ())
+    # entries are checked before the generators are sorted
+    for bad in [(True, 0, 0), ("a", 0, 0)]:
+        with pytest.raises(ValueError):
+            NewtonDiagram(dimension=3, generators=(bad, (0, 2, 0)))
+    # a repeated generator is dropped like a dominated one
+    for gens in [((2, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)), ((2, 0, 0), (2, 1, 0))]:
+        assert NewtonDiagram(dimension=3, generators=gens).generators == _reference_minimal_elements(gens)
+        assert NewtonDiagram(dimension=3, generators=gens) == from_points(gens, 3)
 
 
 def test_minimal_elements_matches_all_pairs_reference():
@@ -97,18 +99,19 @@ def test_minimal_elements_matches_all_pairs_reference():
     assert dropped >= 2000
 
 
-def test_direct_construction_rejects_what_the_reduction_drops():
-    # NewtonDiagram refuses, with one message, every generator tuple that the
-    # one-pass reduction changes, and accepts every tuple it keeps
+def test_direct_construction_keeps_the_reduction():
+    # NewtonDiagram keeps the one-pass reduction of any generator tuple, the
+    # same diagram from_points builds
     rng = random.Random(1013)
+    reduced = 0
     for _ in range(300):
         n = rng.randint(2, 5)
         gens = tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6)))
-        if _reference_minimal_elements(gens) == tuple(sorted(gens)):
-            assert NewtonDiagram(dimension=n, generators=gens).generators == tuple(sorted(gens))
-        else:
-            with pytest.raises(ValueError, match="repeat or dominate one another; diagram is not reduced"):
-                NewtonDiagram(dimension=n, generators=gens)
+        d = NewtonDiagram(dimension=n, generators=gens)
+        assert d.generators == _reference_minimal_elements(gens)
+        assert d == from_points(gens, n)
+        reduced += d.generators != tuple(sorted(gens))
+    assert reduced >= 100, reduced
 
 
 @st.composite
