@@ -4,15 +4,16 @@ maximin linear-programming kernel.
 Everything in this module is pure and exact: values are Python ints and
 ``fractions.Fraction``; no floats enter at any point.  The one LP is the
 maximin of <u, m> over probability directions u, solved by
-``_solve_maximin``: a single-phase simplex from the slack basis, which is
-feasible once u_1 is eliminated through sum(u) = 1.  Its condensed tableau
-keeps a row per basic and a labelled column per nonbasic variable, never
-the unit columns of the basic ones; entries are integers over one common
-positive denominator, updated by fraction-free (Bareiss) pivoting.  Bland's
-rule (entering: lowest variable with positive reduced cost; leaving: lowest
-basis variable among minimal ratios) makes it terminate on every input and
-reach the same optimal vertex on every run and platform.  Problems are tiny
-(dimension <= 8, a few hundred generators at most): no sparsity tricks.
+``_solve_maximin`` for NewtonDiagram.maximin, which passes it a diagram's
+checked generators and certifies its answer.  It is a single-phase simplex
+from the slack basis, feasible once u_1 is eliminated through sum(u) = 1.
+Its condensed tableau keeps a row per basic and a labelled column per
+nonbasic variable, never the unit columns of the basic ones; entries are
+integers over one common positive denominator, updated by fraction-free
+(Bareiss) pivoting.  Bland's rule (entering: lowest variable with positive
+reduced cost; leaving: lowest basis variable among minimal ratios) makes it
+terminate and reach the same optimal vertex on every run and platform.
+Problems are tiny (dimension <= 8, a few hundred generators): no sparsity.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ExponentVector = tuple[int, ...]
 WeightVector = tuple[int, ...]
@@ -37,12 +38,10 @@ __all__ = [
     "DimensionMismatchError",
     "InadmissibleWeightError",
     "SupportSet",
-    "MaximinSolution",
     "parse_polynomial",
     "support_to_text",
     "primitive",
     "check_admissible_weight",
-    "maximin_lp",
     "fraction_to_json",
 ]
 
@@ -306,7 +305,8 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
 
 
 def support_to_text(support: SupportSet, variables: Sequence[str] | None = None) -> str:
-    """Render a support in the canonical form accepted back by parse_polynomial."""
+    """Render a support in canonical form.  parse_polynomial reads it back,
+    dimension included, only when given the same variable names."""
     if variables is None:
         if support.dimension <= len(DEFAULT_NAMED_VARIABLES):
             variables = DEFAULT_NAMED_VARIABLES[: support.dimension]
@@ -415,33 +415,3 @@ def _solve_maximin(gens: Sequence[ExponentVector], n: int) -> tuple[list[int], i
             u = [x * d2 + y * d for x, y in zip(u, v)]
             t, lam, d = 2 * d2 * t, [2 * d2 * q for q in lam], 2 * d * d2
     return u, t, lam, d
-
-
-@dataclass(frozen=True)
-class MaximinSolution:
-    """Optimum of: maximize t subject to sum(u) = 1, u >= 0, <u, m> >= t."""
-
-    value: Fraction
-    direction: tuple[Fraction, ...]
-
-
-def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
-    """Exact maximin of <u, m> over the probability simplex of directions u.
-
-    Deterministic: generators are sorted before the tableau is built and the
-    simplex uses Bland's rule, so the reported vertex never varies.
-    """
-    gens = sorted({_check_vector(m, n, "generator") for m in generators})
-    if not gens:
-        raise ValueError("empty generator set")
-    u, t, lam, d = _solve_maximin(gens, n)
-
-    # over d: u is a probability direction whose least weight is t, and the
-    # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
-    weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
-    if not (sum(u) == d and all(ui >= 0 for ui in u) and min(weights) == t):
-        raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
-    p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
-    if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
-        raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
-    return MaximinSolution(value=Fraction(t, d), direction=tuple(Fraction(ui, d) for ui in u))

@@ -1,11 +1,11 @@
-"""Extended Newton diagrams: minimal generators and polyhedral queries.
+"""Extended Newton diagrams: minimal generators, maximin LP and queries.
 
 A diagram is stored by the componentwise-minimal elements of its defining
 point set (its Dickson reduction), never by facets; its one constructor
-validates the points and reduces them.  The diagram's own maximin LP is
-solved on first use and kept on it (NewtonDiagram.maximin).  Geometric
-queries -- membership of a rational point, inclusion of one diagram in
-another -- are answered by the same exact maximin LP, which never rounds.
+validates the points and reduces them.  Every maximin LP is a diagram's,
+solved on first use, certified and kept on it (NewtonDiagram.maximin).
+Geometric queries -- membership of a rational point, inclusion of one
+diagram in another -- are answered by the same exact LP, which never rounds.
 """
 
 from __future__ import annotations
@@ -21,15 +21,16 @@ from typing import Iterable, Sequence
 from .lattice import (
     DimensionMismatchError,
     ExponentVector,
-    MaximinSolution,
     SupportSet,
     _check_dimension,
     _check_vector,
-    maximin_lp,
+    _solve_maximin,
 )
 
 __all__ = [
     "NewtonDiagram",
+    "MaximinSolution",
+    "maximin_lp",
     "from_support",
     "from_points",
     "weight_of",
@@ -48,6 +49,14 @@ def _minimal_elements(points: Iterable[ExponentVector]) -> tuple[ExponentVector,
         if not any(all(map(operator.ge, p, q)) for q in keep):
             keep.append(p)
     return tuple(keep)
+
+
+@dataclass(frozen=True)
+class MaximinSolution:
+    """Optimum of: maximize t subject to sum(u) = 1, u >= 0, <u, m> >= t."""
+
+    value: Fraction
+    direction: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -74,8 +83,24 @@ class NewtonDiagram:
     def maximin(self) -> MaximinSolution:
         """The diagram's maximin LP, solved on first use and kept on the object
         (outside its fields, so equality, hash and repr do not see it).  It
-        depends on the generators alone, so copies and pickles may carry it."""
-        return maximin_lp(self.generators, self.dimension)
+        depends on the generators alone, so copies and pickles may carry it;
+        sorted generators and Bland's rule fix the vertex it reports."""
+        gens, n = self.generators, self.dimension
+        u, t, lam, d = _solve_maximin(gens, n)
+        # over d: u is a probability direction whose least weight is t, and the
+        # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
+        weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
+        if not (sum(u) == d and all(ui >= 0 for ui in u) and min(weights) == t):
+            raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
+        p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
+        if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
+            raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
+        return MaximinSolution(value=Fraction(t, d), direction=tuple(Fraction(ui, d) for ui in u))
+
+
+def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
+    """The exact maximin LP of the diagram that the generators span."""
+    return NewtonDiagram(n, generators).maximin
 
 
 def from_support(support: SupportSet) -> NewtonDiagram:
@@ -84,8 +109,7 @@ def from_support(support: SupportSet) -> NewtonDiagram:
 
 
 def from_points(points: Iterable[Sequence[int]], dimension: int) -> NewtonDiagram:
-    pts = frozenset(tuple(p) for p in points)
-    return from_support(SupportSet(dimension=dimension, points=pts))
+    return from_support(SupportSet(dimension=dimension, points=points))
 
 
 def weight_of(diagram: NewtonDiagram, weights: Sequence[int]) -> int:
@@ -110,16 +134,15 @@ def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> b
     """
     p = tuple(point)
     if len(p) != diagram.dimension:
-        raise DimensionMismatchError(
-            f"point {p} has length {len(p)}, expected {diagram.dimension}"
-        )
+        raise DimensionMismatchError(f"point {p} has length {len(p)}, expected {diagram.dimension}")
     if not all(type(x) is int or isinstance(x, Fraction) for x in p):
         raise ValueError(f"point {p} has a coordinate that is not an int or Fraction")
     q = math.lcm(*(x.denominator for x in p))
     qp = [int(q * x) for x in p]
     c = max(0, *qp)
     shifted = [tuple(q * mi - x + c for mi, x in zip(m, qp)) for m in diagram.generators]
-    return maximin_lp(shifted, diagram.dimension).value <= c
+    # a translate of reduced, sorted generators is reduced and sorted
+    return NewtonDiagram(diagram.dimension, shifted).maximin.value <= c
 
 
 def includes(big: NewtonDiagram, small: NewtonDiagram) -> bool:

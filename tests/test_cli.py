@@ -149,15 +149,15 @@ def test_ct_brute_with_max_bound_exits_1(capsys):
 
 
 def test_engine_invariant_failure_exits_4(capsys, monkeypatch):
-    import thresholdkit.newton as newton
+    from thresholdkit.newton import NewtonDiagram
 
-    real = newton.maximin_lp
+    real = NewtonDiagram.maximin.func
 
-    def halved(gens, n):
-        sol = real(gens, n)
+    def halved(diagram):
+        sol = real(diagram)
         return dataclasses.replace(sol, value=sol.value / 2)
 
-    monkeypatch.setattr(newton, "maximin_lp", halved)
+    monkeypatch.setattr(NewtonDiagram, "maximin", property(halved))
     code, out, err = run(capsys, "ct", "x^3+y^7+z^11")
     assert code == 4
     assert out == ""
@@ -672,6 +672,18 @@ def test_module_entry_point_prints_the_readme_json():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     shown = re.search(r"`ct --json` emits\n\n```\n(.*?)\n```", readme, re.S).group(1)
     assert done.stdout == shown.replace("\n", "") + "\n"
+
+
+def test_readme_library_surface_block_runs():
+    # the README's Python example imports maximin_lp and the rest of the
+    # names it lists from the package, and checks x^5+y^6+z^29
+    src = str(Path(cli.__file__).resolve().parents[1])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library surface\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    assert "maximin_lp" in block and "x^5+y^6+z^29" in block
+    done = subprocess.run([sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_import_loads_only_the_standard_library():

@@ -619,17 +619,18 @@ def test_cut_keeps_search_work_small():
 
 
 def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):
-    # maximin_lp checks that its vertex is feasible and tight, not that it
-    # is optimal; wf <= |w|_1 * t* on the seeds rejects a t* that is too small
-    import thresholdkit.newton as newton
+    # NewtonDiagram.maximin checks that its vertex is feasible and tight, not
+    # that it is optimal; wf <= |w|_1 * t* on the seeds rejects a t* that is
+    # too small
+    from thresholdkit.newton import NewtonDiagram
 
-    real = newton.maximin_lp
+    real = NewtonDiagram.maximin.func
 
-    def halved(gens, n):
-        sol = real(gens, n)
+    def halved(diagram):
+        sol = real(diagram)
         return dataclasses.replace(sol, value=sol.value / 2)
 
-    monkeypatch.setattr(newton, "maximin_lp", halved)
+    monkeypatch.setattr(NewtonDiagram, "maximin", property(halved))
     with pytest.raises(AssertionError, match="exceeds"):
         ct_diagram(diagram("x^3+y^7+z^11"))
 
@@ -638,9 +639,9 @@ def test_ray_seed_check_catches_a_direction_off_the_optimum(monkeypatch):
     # the optimal t* with a direction that is not optimal: its ray seed
     # (1, 1, 1) has h = 2/3, not below r* = 131/231, and the check must
     # refuse it, also under python -O
-    real = newton_module.maximin_lp
-    monkeypatch.setattr(newton_module, "maximin_lp",
-                        lambda gens, n: dataclasses.replace(real(gens, n), direction=(F(1, 3),) * 3))
+    real = newton_module.NewtonDiagram.maximin.func
+    monkeypatch.setattr(newton_module.NewtonDiagram, "maximin",
+                        property(lambda d: dataclasses.replace(real(d), direction=(F(1, 3),) * 3)))
     with pytest.raises(AssertionError,
                        match=r"optimal-ray seed \(1, 1, 1\) does not beat r\* = 131/231"):
         ct_diagram(diagram("x^3+y^7+z^11"))
@@ -650,9 +651,9 @@ def test_search_sandwich_catches_suboptimal_lp(monkeypatch):
     # x^5 has t* = 5 on the axis ray, so there is no ray seed, and (1,1,1)
     # gives wf = 5 <= 3 * 2: only the check inside the level search can see
     # that t* = 2 is too small, at the first vector it evaluates
-    real = newton_module.maximin_lp
-    monkeypatch.setattr(newton_module, "maximin_lp",
-                        lambda gens, n: dataclasses.replace(real(gens, n), value=F(2)))
+    real = newton_module.NewtonDiagram.maximin.func
+    monkeypatch.setattr(newton_module.NewtonDiagram, "maximin",
+                        property(lambda d: dataclasses.replace(real(d), value=F(2))))
     with pytest.raises(AssertionError, match=r"wf\(\(1, 0, 1\)\) = 5 exceeds"):
         ct_diagram(from_points([(5, 0, 0)], 3))
 
@@ -677,14 +678,14 @@ def test_search_leaves_no_cyclic_garbage():
 # ---------------------------------------------------------------------------
 
 def _counting_lp(monkeypatch):
-    real = newton_module.maximin_lp
+    real = newton_module._solve_maximin
     calls = []
 
     def counted(gens, n):
         calls.append(gens)
         return real(gens, n)
 
-    monkeypatch.setattr(newton_module, "maximin_lp", counted)
+    monkeypatch.setattr(newton_module, "_solve_maximin", counted)
     return calls
 
 

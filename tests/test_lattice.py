@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import thresholdkit
 from thresholdkit.engine import _ray_seed
+from thresholdkit.newton import _minimal_elements
 from thresholdkit import (
     DimensionMismatchError,
     InadmissibleWeightError,
@@ -230,6 +231,20 @@ def test_print_default_names():
     assert support_to_text(support) == "x2*x5 + x1^2"
     with pytest.raises(DimensionMismatchError, match="2 variable names for dimension 3"):
         support_to_text(parse_polynomial("x + y + z"), ("x", "y"))
+
+
+def test_print_keeps_the_dimension_only_with_the_same_names():
+    # without names parse_polynomial infers the dimension from the names that
+    # occur: 2 variables, 4 without w, and 5 with x4, x5 unused all come back
+    # in 3
+    cases = [(2, [(2, 0), (0, 3)], ("x", "y")),
+             (4, [(2, 0, 0, 0), (0, 3, 1, 0)], ("x", "y", "z", "w")),
+             (5, [(2, 0, 0, 0, 0), (0, 1, 3, 0, 0)], ("x1", "x2", "x3", "x4", "x5"))]
+    for n, points, names in cases:
+        support = SupportSet(dimension=n, points=frozenset(points))
+        text = support_to_text(support)
+        assert parse_polynomial(text).dimension == 3, text
+        assert parse_polynomial(text, names) == support, text
 
 
 def test_support_set_rejects_no_points():
@@ -685,8 +700,36 @@ def test_maximin_validates_generators_like_every_vector():
             maximin_lp([bad, (0, 2, 0)], 3)
     with pytest.raises(DimensionMismatchError):
         maximin_lp([(1, 2, 0), (0, 2)], 3)
-    with pytest.raises(ValueError, match="empty generator set"):
+    with pytest.raises(ValueError, match="diagram must have at least one generator"):
         maximin_lp([], 3)
+
+
+def test_maximin_takes_only_a_diagram_dimension():
+    # maximin_lp is the LP of a diagram, so n follows the constructor's 2..8
+    for n in (1, 9):
+        with pytest.raises(DimensionMismatchError, match="dimension must be an integer in"):
+            maximin_lp([(1,) * n], n)
+
+
+def test_maximin_of_an_unreduced_set_is_the_kernel_vertex_on_it():
+    # dominated generators never change Bland's pivots: the LP of the diagram,
+    # solved on the reduction, ends at the vertex the kernel reaches on the
+    # whole set
+    rng = random.Random(1919)
+    for _ in range(2000):
+        n = rng.randint(2, 8)
+        base = [tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        gens = list(base)
+        for _ in range(rng.randint(1, 4)):
+            shift = [rng.randint(0, 3) for _ in range(n)]
+            shift[rng.randrange(n)] += 1
+            gens.append(tuple(x + y for x, y in zip(rng.choice(base), shift)))
+        gens += rng.sample(gens, rng.randint(0, 2))
+        rng.shuffle(gens)
+        assert len(_minimal_elements(gens)) < len(set(gens))
+        sol = maximin_lp(gens, n)
+        u, t, _, d = thresholdkit.lattice._solve_maximin(sorted(set(gens)), n)
+        assert (sol.value, sol.direction) == (F(t, d), tuple(F(x, d) for x in u)), gens
 
 
 def _reference_solve_standard(constraints, objective):
@@ -896,19 +939,20 @@ def test_maximin_kernel_output_is_pinned():
 
 
 _CORRUPT_VERTEX = """
-import thresholdkit.lattice as lattice
+import thresholdkit
+import thresholdkit.newton as newton
 
 assert False, "this script must run under python -O"
-solve = lattice._solve_maximin
+solve = newton._solve_maximin
 
 def corrupted(*args):
     u, *rest = solve(*args)
     u[0] += 1  # the direction no longer sums to d
     return (u, *rest)
 
-lattice._solve_maximin = corrupted
+newton._solve_maximin = corrupted
 try:
-    lattice.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
+    thresholdkit.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
 except AssertionError:
     print("rejected")
 """
@@ -932,10 +976,11 @@ def test_maximin_rejects_corrupt_vertex_under_optimize():
 # the sorted generators (0,0,6), (0,3,0), (2,0,0): the multipliers
 # (1/6, 1/3, 1/2) give p = (1, 1, 1) = t.
 _CORRUPT_DUALS = """
-import thresholdkit.lattice as lattice
+import thresholdkit
+import thresholdkit.newton as newton
 
 assert False, "this script must run under python -O"
-solve = lattice._solve_maximin
+solve = newton._solve_maximin
 
 def shifted(shift):
     def corrupted(*args):
@@ -946,9 +991,9 @@ def shifted(shift):
 # no shift; one unit more on lam_0 (sum 37/36); one unit moved from lam_2 to
 # lam_0 (sum 1 and lam >= 0, but p_2 = 42/36 > t)
 for shift in [(0, 0, 0), (1, 0, 0), (1, 0, -1)]:
-    lattice._solve_maximin = shifted(shift)
+    newton._solve_maximin = shifted(shift)
     try:
-        lattice.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
+        thresholdkit.maximin_lp({(2, 0, 0), (0, 3, 0), (0, 0, 6)}, 3)
         print("accepted")
     except AssertionError:
         print("rejected")
