@@ -86,6 +86,17 @@ class BrieskornResult:
     s_values: SValues | None
 
 
+def _least(p: int, q: int, top: int) -> tuple[Fraction, int]:
+    """min over 1 <= k <= top of 1/p + ceil(k*p/q) / (k*p) = (k + ceil(k*p/q)) / (k*p)
+    and its k, compared as integer pairs; the smallest k wins a tie."""
+    x, k = 1 + _ceildiv(p, q), 1
+    for j in range(2, top + 1):
+        y = j + _ceildiv(j * p, q)
+        if y * k < x * j:
+            x, k = y, j
+    return Fraction(x, k * p), k
+
+
 def s_values(triple: BrieskornTriple) -> SValues:
     """The three candidate minima; argmin indices take the smallest k on ties."""
     a, b, c = triple.a, triple.b, triple.c
@@ -94,12 +105,9 @@ def s_values(triple: BrieskornTriple) -> SValues:
             f"s-values are defined only when lcm(a, b) > c; lcm({a}, {b}) = {math.lcm(a, b)} <= {c}"
         )
 
-    # b <= c and a <= c make both ranges nonempty; min over (value, k)
-    # pairs takes the smallest k among equal values
-    s1, k1 = min((Fraction(1, b) + Fraction(_ceildiv(k * b, a), k * b), k)
-                 for k in range(1, c // b + 1))
-    s2, k2 = min((Fraction(1, a) + Fraction(_ceildiv(k * a, b), k * a), k)
-                 for k in range(1, c // a + 1))
+    # b <= c and a <= c make both ranges nonempty
+    s1, k1 = _least(b, a, c // b)
+    s2, k2 = _least(a, b, c // a)
     s3 = Fraction(_ceildiv(c, a) + _ceildiv(c, b), c)
     return SValues(s1=s1, s2=s2, s3=s3, k1=k1, k2=k2)
 
@@ -115,8 +123,8 @@ def ct_brieskorn3(triple: BrieskornTriple) -> BrieskornResult:
     a, b, c = triple.a, triple.b, triple.c
     m = math.lcm(a, b)
     if m <= c:
-        value = Fraction(1, a) + Fraction(1, b)
         weight = (m // a, m // b, 1)
+        value = Fraction(weight[0] + weight[1], m)  # 1/a + 1/b
         return BrieskornResult(value=value, case=CASE_LCM, weight=weight, s_values=None)
 
     sv = s_values(triple)
@@ -160,4 +168,5 @@ def lct_brieskorn(exponents: Sequence[int]) -> Fraction:
     for e in exps:
         if isinstance(e, bool) or not isinstance(e, int) or e < 1:
             raise ValueError(f"exponents must be integers >= 1, got {e!r}")
-    return min(Fraction(1), sum(Fraction(1, e) for e in exps))
+    top = math.lcm(*exps)
+    return Fraction(min(top, sum(top // e for e in exps)), top)

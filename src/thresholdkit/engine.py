@@ -17,17 +17,20 @@ admissible w satisfies wf(w) <= |w|_1 * t*, hence
 
 so once some evaluated vector achieves h < r*, all levels |w|_1 beyond
 L = ceil(r* / (r* - best)) are strictly worse than the best value found and
-enumeration through level L is exhaustive.  Clearing denominators of the
-optimal LP direction gives a primitive vector with h = r*(1 - 1/|w|_1) < r*,
-which primes the bound whenever that vector is admissible.  maximin_lp
-returns a unit vector only when the whole optimal face is one coordinate
-axis (e.g. a single generator on an axis); only then is there no ray seed.
-Such diagrams may admit no vector below r*; the search then stops at the
-configured cap and reports a partial result rather than a wrong one.  The
-LP is the diagram's own, NewtonDiagram.maximin, solved once per diagram
-object on first use: ct_diagram, lct_diagram and ct_bruteforce share that
-one solve.  That saves a solve only for a caller that makes more than one
-of these calls on one object; the CLI commands make one each.
+enumeration through level L is exhaustive.  The optimal LP direction,
+divided by the gcd of its integer numerators, is a primitive vector with
+h = r*(1 - 1/|w|_1) < r*, which primes the bound whenever that vector is
+admissible.  maximin_lp returns a unit vector only when the whole optimal
+face is one coordinate axis (e.g. a single generator on an axis); only then
+is there no ray seed.  Such diagrams may admit no vector below r*; the
+search then stops at the configured cap and reports a partial result rather
+than a wrong one.  The LP is the diagram's own, NewtonDiagram.maximin,
+solved once per diagram object on first use: ct_diagram, lct_diagram and
+ct_bruteforce share that one solve.  That saves a solve only for a caller
+that makes more than one of these calls on one object; the CLI commands
+make one each.  The solve keeps t* = t / d as the kernel's integers, and
+every comparison with t* or r* = d / t cross-multiplies them; a Fraction is
+built only for a value the caller gets back.
 
 Within a level, a depth-first search fixes one coordinate at a time; its
 prefixes wait on one explicit stack, pushed in reverse so that they pop in
@@ -217,35 +220,33 @@ def h_value(diagram: NewtonDiagram, weights: Sequence[int]) -> Fraction | _PlusI
     return Fraction(sum(w) - 1, wf)
 
 
-def _ray_seed(direction: tuple[Fraction, ...]) -> WeightVector | None:
-    """Primitive integer vector on the ray of a rational direction.
-
-    Returns None when the ray is a coordinate axis (the resulting unit
-    vector is not admissible), which maximin_lp returns only when the whole
-    optimal face is that axis.
-    """
-    scale = math.lcm(*(u.denominator for u in direction))
+def _ray_seed(u: Sequence[int]) -> WeightVector | None:
+    """Primitive vector on the ray of the LP's integer direction u, or None when
+    that ray is a coordinate axis (a unit vector is not admissible), which
+    maximin_lp returns only when the whole optimal face is that axis."""
     try:
-        return primitive(tuple(int(u * scale) for u in direction))
+        return primitive(u)
     except InadmissibleWeightError:
         return None
 
 
-def _search_limit(best: _Best, rstar: Fraction) -> int | None:
-    """Level bound L = ceil(r* / (r* - best)), or None while best >= r*."""
-    tau = min(Fraction(best.num, best.den), 1)
-    if tau >= rstar:
+def _search_limit(best: _Best, t: int, d: int) -> int | None:
+    """Level bound L = ceil(r* / (r* - tau)) = ceil(d*td / (d*td - tn*t)) for
+    r* = d / t and tau = min(best, 1) = tn / td, or None while tau >= r*."""
+    tn, td = (best.num, best.den) if best.num < best.den else (1, 1)
+    gap = d * td - tn * t
+    if gap <= 0:
         return None
-    return max(2, math.ceil(rstar / (rstar - tau)))
+    return max(2, -(-d * td // gap))
 
 
-def _sandwich(w: WeightVector, wf: int, tstar: Fraction) -> None:
+def _sandwich(w: WeightVector, wf: int, t: int, d: int) -> None:
     # relaxation sandwich: wf <= |w|_1 * t*, broken by a t* below the optimum
-    if wf * tstar.denominator > sum(w) * tstar.numerator:
-        raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {sum(w) * tstar}")
+    if wf * d > sum(w) * t:
+        raise AssertionError(f"wf({w}) = {wf} exceeds |w|_1 * t* = {Fraction(sum(w) * t, d)}")
 
 
-def _search(best: _Best, gens: Sequence[tuple[int, ...]], tstar: Fraction, cap: int,
+def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: int,
             skip: frozenset) -> tuple[int, int, str]:
     """Offer to best each vector outside skip that the cut leaves, level by
     level up to the level bound or the cap; returns (bound, nodes, status).
@@ -255,9 +256,8 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], tstar: Fraction, cap: 
     cols = tuple(zip(*gens))
     # tails[k][i]: largest entry of generator i after coordinate k
     tails = [[max(m[k + 1:]) for m in gens] for k in range(n - 1)]
-    rstar = 1 / tstar
     nodes = 0
-    limit = _search_limit(best, rstar)
+    limit = _search_limit(best, t, d)
     level = 2
     while limit is None or level <= limit:
         if level > cap:
@@ -271,11 +271,11 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], tstar: Fraction, cap: 
             # the x that keep every <w, m> >= need in reach form [lo, hi]
             lo, hi = 0, rest
             for p, mk, mt in zip(partial, cols[k], tails[k]):
-                d, c = mk - mt, need - p - rest * mt
-                if d > 0:
-                    lo = max(lo, -(-c // d))
-                elif d < 0:
-                    hi = min(hi, c // d)
+                a, c = mk - mt, need - p - rest * mt
+                if a > 0:
+                    lo = max(lo, -(-c // a))
+                elif a < 0:
+                    hi = min(hi, c // a)
                 elif c > 0:
                     break
             else:
@@ -291,12 +291,12 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], tstar: Fraction, cap: 
                         continue
                     nodes += 1
                     wf = min(p + x * a + (rest - x) * b for p, a, b in zip(partial, cols[k], cols[-1]))
-                    _sandwich(w, wf, tstar)
+                    _sandwich(w, wf, t, d)
                     if wf >= need and best.offer(w, level - 1, wf):
                         improved = True
                         need = -(-(level - 1) * best.den // best.num)
         if improved:
-            limit = _search_limit(best, rstar)
+            limit = _search_limit(best, t, d)
         level += 1
     return limit, nodes, STATUS_COMPLETE
 
@@ -316,12 +316,11 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     _check_no_unit(diagram)
 
     sol = diagram.maximin
-    tstar = sol.value
-    rstar = 1 / tstar
+    t, d = sol.t, sol.d
 
     best = _Best()
     seeds: list[WeightVector] = []
-    ray = _ray_seed(sol.direction)
+    ray = _ray_seed(sol.u)
     if ray is not None:
         seeds.append(ray)
     ones = (1,) * diagram.dimension
@@ -329,20 +328,21 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
         seeds.append(ones)
     for w in seeds:
         wf = weight_of(diagram, w)
-        _sandwich(w, wf, tstar)
-        # the primitive vector on the optimal ray sits strictly under r*
-        if w is ray and not (wf > 0 and Fraction(sum(w) - 1, wf) < rstar):
-            raise AssertionError(f"optimal-ray seed {w} does not beat r* = {rstar}")
+        _sandwich(w, wf, t, d)
+        # the primitive vector on the optimal ray sits strictly under r* = d / t
+        if w is ray and not (wf > 0 and (sum(w) - 1) * t < d * wf):
+            raise AssertionError(f"optimal-ray seed {w} does not beat r* = {Fraction(d, t)}")
         best.offer(w, sum(w) - 1, wf)
 
-    bound, nodes, status = _search(best, diagram.generators, tstar, cap, frozenset(seeds))
-    return best.report(rstar, bound, len(seeds) + nodes, status)
+    bound, nodes, status = _search(best, diagram.generators, t, d, cap, frozenset(seeds))
+    return best.report(Fraction(d, t), bound, len(seeds) + nodes, status)
 
 
 def lct_diagram(diagram: NewtonDiagram) -> Fraction:
     """Continuous relaxation of the threshold: min(1, 1/t*)."""
     _check_no_unit(diagram)
-    return min(Fraction(1), 1 / diagram.maximin.value)
+    sol = diagram.maximin
+    return Fraction(min(sol.d, sol.t), sol.t)
 
 
 def _narrow(lo: int, hi: int, a: int, c: int) -> tuple[int, int]:
@@ -403,7 +403,8 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
         for j in range(2 * k, side, k):
             mu[j] -= mu[k]
     nodes = sum(mu[k] * ((cap // k + 1) ** n - 1) for k in range(1, side)) - n
-    return best.report(1 / diagram.maximin.value, cap, nodes, STATUS_COMPLETE)
+    sol = diagram.maximin
+    return best.report(Fraction(sol.d, sol.t), cap, nodes, STATUS_COMPLETE)
 
 
 def certify(diagram: NewtonDiagram, c: Fraction,

@@ -53,10 +53,34 @@ def _minimal_elements(points: Iterable[ExponentVector]) -> tuple[ExponentVector,
 
 @dataclass(frozen=True)
 class MaximinSolution:
-    """Optimum of: maximize t subject to sum(u) = 1, u >= 0, <u, m> >= t."""
+    """Optimum of: maximize t subject to sum(u) = 1, u >= 0, <u, m> >= t,
+    kept as the kernel's integers over one denominator d > 0: u / d, t / d."""
 
-    value: Fraction
-    direction: tuple[Fraction, ...]
+    u: tuple[int, ...]
+    t: int
+    d: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.t, self.d)
+
+    @property
+    def direction(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.d) for x in self.u)
+
+
+def _certified_maximin(gens: Sequence[ExponentVector], n: int) -> MaximinSolution:
+    """The kernel's vertex on reduced, sorted generators, both certificates checked."""
+    u, t, lam, d = _solve_maximin(gens, n)
+    # over d: u is a probability direction whose least weight is t, and the
+    # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
+    weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
+    if not (sum(u) == d > 0 and all(ui >= 0 for ui in u) and min(weights) == t):
+        raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
+    p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
+    if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
+        raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
+    return MaximinSolution(tuple(u), t, d)
 
 
 @dataclass(frozen=True)
@@ -85,17 +109,7 @@ class NewtonDiagram:
         (outside its fields, so equality, hash and repr do not see it).  It
         depends on the generators alone, so copies and pickles may carry it;
         sorted generators and Bland's rule fix the vertex it reports."""
-        gens, n = self.generators, self.dimension
-        u, t, lam, d = _solve_maximin(gens, n)
-        # over d: u is a probability direction whose least weight is t, and the
-        # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
-        weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
-        if not (sum(u) == d and all(ui >= 0 for ui in u) and min(weights) == t):
-            raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
-        p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
-        if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
-            raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
-        return MaximinSolution(value=Fraction(t, d), direction=tuple(Fraction(ui, d) for ui in u))
+        return _certified_maximin(self.generators, self.dimension)
 
 
 def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
@@ -141,8 +155,9 @@ def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> b
     qp = [int(q * x) for x in p]
     c = max(0, *qp)
     shifted = [tuple(q * mi - x + c for mi, x in zip(m, qp)) for m in diagram.generators]
-    # a translate of reduced, sorted generators is reduced and sorted
-    return NewtonDiagram(diagram.dimension, shifted).maximin.value <= c
+    # a scaled translate of reduced, sorted generators is reduced and sorted
+    sol = _certified_maximin(shifted, diagram.dimension)
+    return sol.t <= c * sol.d
 
 
 def includes(big: NewtonDiagram, small: NewtonDiagram) -> bool:

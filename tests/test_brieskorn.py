@@ -1,6 +1,7 @@
 """Closed-form thresholds: s-values, case tags, realizing weights."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,30 @@ def test_s_values_ties_take_smallest_k():
     # every k from 1 to 5 realizes s2 = 2/5 here
     sv = s_values(BrieskornTriple(5, 6, 29))
     assert sv.k2 == 1
+
+
+def _s_values_by_fractions(a, b, c):
+    """The s-values and their k as Fraction sums, the reference for the
+    integer-pair scan."""
+    s1, k1 = min((F(1, b) + F(-(-k * b // a), k * b), k) for k in range(1, c // b + 1))
+    s2, k2 = min((F(1, a) + F(-(-k * a // b), k * a), k) for k in range(1, c // a + 1))
+    s3 = F(-(-c // a) - (-c // b), c)
+    return s1, s2, s3, k1, k2
+
+
+def test_s_values_match_the_fraction_formulas():
+    # every triple with lcm(a, b) > c up to 60, and the lcm rule on the rest
+    scanned = 0
+    for a in range(2, 61):
+        for b in range(a, 61):
+            for c in range(b, 61):
+                if math.lcm(a, b) <= c:
+                    assert ct_brieskorn3(BrieskornTriple(a, b, c)).value == F(1, a) + F(1, b)
+                    continue
+                sv = s_values(BrieskornTriple(a, b, c))
+                assert (sv.s1, sv.s2, sv.s3, sv.k1, sv.k2) == _s_values_by_fractions(a, b, c), (a, b, c)
+                scanned += 1
+    assert scanned == 29211
 
 
 def test_s_values_require_lcm_branch():
@@ -195,6 +220,30 @@ def test_lct_rejects_nonpositive():
     for exponents in ([2, 0, 3], [True, 2]):
         with pytest.raises(ValueError, match="exponents must be integers >= 1"):
             lct_brieskorn(exponents)
+
+
+def test_lct_matches_the_fraction_sum():
+    # 1 to 8 exponents, with 1s and 40-digit entries
+    rng = random.Random(2020)
+    sizes = set()
+    for _ in range(3000):
+        exps = [rng.choice((1, rng.randint(2, 12), rng.randint(2, 10**6),
+                            rng.randint(10**39, 10**40 - 1)))
+                for _ in range(rng.randint(1, 8))]
+        sizes.add(len(exps))
+        got = lct_brieskorn(exps)
+        assert type(got) is F and got == min(F(1), sum(F(1, e) for e in exps)), exps
+    assert sizes == set(range(1, 9))
+
+
+def test_lct_error_messages():
+    with pytest.raises(ValueError) as err:
+        lct_brieskorn([])
+    assert str(err.value) == "exponent list must be nonempty"
+    for bad in (0, -3, True, 2.0, "3", None):
+        with pytest.raises(ValueError) as err:
+            lct_brieskorn([5, bad, 7])
+        assert str(err.value) == f"exponents must be integers >= 1, got {bad!r}"
 
 
 def test_lct_matches_lp_on_small_triples():

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -155,7 +156,7 @@ def test_engine_invariant_failure_exits_4(capsys, monkeypatch):
 
     def halved(diagram):
         sol = real(diagram)
-        return dataclasses.replace(sol, value=sol.value / 2)
+        return dataclasses.replace(sol, d=2 * sol.d)  # t* halved
 
     monkeypatch.setattr(NewtonDiagram, "maximin", property(halved))
     code, out, err = run(capsys, "ct", "x^3+y^7+z^11")
@@ -269,6 +270,15 @@ def test_sweep_small(capsys):
     row236 = next(line for line in lines if line.startswith("2,3,6,"))
     assert row236 == "2,3,6,5,6,lcm-rule,3,2,1,1,1,true"
     assert "0 violations" in err
+
+
+def test_sweep_40_is_pinned(capsys):
+    # case, weight and lct of every triple up to 40, byte for byte
+    code, out, err = run(capsys, "sweep", "40")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "bcaef95c26ddfea2f0499859479e1ba521f92a7e6e5cb2cb356b3b72e07e97a7"
+    assert err == "sweep: 10660 triples, 0 violations; values in [4/5, 1]: 5/6, 1\n"
 
 
 def test_sweep_trivial(capsys):

@@ -628,7 +628,7 @@ def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):
 
     def halved(diagram):
         sol = real(diagram)
-        return dataclasses.replace(sol, value=sol.value / 2)
+        return dataclasses.replace(sol, d=2 * sol.d)  # t* halved
 
     monkeypatch.setattr(NewtonDiagram, "maximin", property(halved))
     with pytest.raises(AssertionError, match="exceeds"):
@@ -641,7 +641,7 @@ def test_ray_seed_check_catches_a_direction_off_the_optimum(monkeypatch):
     # refuse it, also under python -O
     real = newton_module.NewtonDiagram.maximin.func
     monkeypatch.setattr(newton_module.NewtonDiagram, "maximin",
-                        property(lambda d: dataclasses.replace(real(d), direction=(F(1, 3),) * 3)))
+                        property(lambda diagram: dataclasses.replace(real(diagram), u=(1, 1, 1))))
     with pytest.raises(AssertionError,
                        match=r"optimal-ray seed \(1, 1, 1\) does not beat r\* = 131/231"):
         ct_diagram(diagram("x^3+y^7+z^11"))
@@ -653,9 +653,49 @@ def test_search_sandwich_catches_suboptimal_lp(monkeypatch):
     # that t* = 2 is too small, at the first vector it evaluates
     real = newton_module.NewtonDiagram.maximin.func
     monkeypatch.setattr(newton_module.NewtonDiagram, "maximin",
-                        property(lambda d: dataclasses.replace(real(d), value=F(2))))
+                        property(lambda diagram: dataclasses.replace(real(diagram), t=2, d=1)))
     with pytest.raises(AssertionError, match=r"wf\(\(1, 0, 1\)\) = 5 exceeds"):
         ct_diagram(from_points([(5, 0, 0)], 3))
+
+
+def _search_limit_by_fractions(num, den, t, d):
+    """The level bound as Fraction arithmetic, the reference for the
+    integer cross-multiplication."""
+    rstar = F(d, t)
+    tau = min(F(num, den), 1)
+    if tau >= rstar:
+        return None
+    return max(2, math.ceil(rstar / (rstar - tau)))
+
+
+def test_search_limit_matches_the_fraction_formula():
+    rng = random.Random(2020)
+    kinds = [0, 0, 0, 0]
+    for i in range(8000):
+        t, d = rng.randint(1, 10**4), rng.randint(1, 10**4)
+        kind = i % 4
+        if kind == 0:  # best > 1
+            den = rng.randint(1, 500)
+            num = den + rng.randint(1, 500)
+        elif kind == 1:  # best == r*, unreduced
+            g = rng.randint(1, 7)
+            num, den = g * d, g * t
+        elif kind == 2:  # best just under r*
+            g = rng.randint(1, 10**6)
+            num, den = g * d - 1, g * t
+        else:
+            num, den = rng.randint(1, 10**4), rng.randint(1, 10**4)
+        best = engine_module._Best()
+        best.num, best.den = num, den
+        got = engine_module._search_limit(best, t, d)
+        assert got == _search_limit_by_fractions(num, den, t, d), (num, den, t, d)
+        kinds[kind] += got is None
+    # best == r* stops the bound exactly when r* <= 1; just under r* never does
+    assert kinds[1] > 0 and kinds[2] == 0
+    # r* = 131/231 and best = 392/693, 1/693 under it: L = 131 * 693 / 231
+    best = engine_module._Best()
+    best.num, best.den = 3 * 131 - 1, 3 * 231
+    assert engine_module._search_limit(best, 231, 131) == 393
 
 
 def test_search_leaves_no_cyclic_garbage():

@@ -730,6 +730,9 @@ def test_maximin_of_an_unreduced_set_is_the_kernel_vertex_on_it():
         sol = maximin_lp(gens, n)
         u, t, _, d = thresholdkit.lattice._solve_maximin(sorted(set(gens)), n)
         assert (sol.value, sol.direction) == (F(t, d), tuple(F(x, d) for x in u)), gens
+        # the solution keeps the kernel's integers on the reduced generators
+        u, t, _, d = thresholdkit.lattice._solve_maximin(list(_minimal_elements(gens)), n)
+        assert (sol.u, sol.t, sol.d) == (tuple(u), t, d), gens
 
 
 def _reference_solve_standard(constraints, objective):
@@ -902,7 +905,7 @@ def test_maximin_vertex_is_pinned():
         if got != {"value": e["value"], "direction": e["direction"]}:
             moved.append(f"{e['points']}: {got} != {e['value']}, {e['direction']}")
         # the ray seed is missing only where the whole optimal face is one axis
-        if _ray_seed(sol.direction) is None:
+        if _ray_seed(sol.u) is None:
             no_seed += 1
             face = {u for u, t in _basic_feasible_solutions(gens, e["n"]) if t == sol.value}
             assert face == {sol.direction}, e["points"]

@@ -244,6 +244,29 @@ def test_contains_point_dominates_both_generators():
     assert not contains_point(d, (1, F(7, 5)))
 
 
+def test_contains_point_skips_the_dominance_pass(monkeypatch):
+    # the shifted generators are a scaled translate of reduced, sorted ones,
+    # so membership hands them to the LP without _minimal_elements
+    rng = random.Random(2020)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        pts = [tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        point = tuple(F(rng.randint(0, 30), rng.randint(1, 6)) for _ in range(n))
+        cases.append((from_points(pts + [(1,) * n], n), point,
+                      from_points([tuple(rng.randint(0, 7) for _ in range(n))], n)))
+    real = newton_module._minimal_elements
+    calls = []
+    monkeypatch.setattr(newton_module, "_minimal_elements",
+                        lambda points: calls.append(1) or real(points))
+    for d, point, small in cases:
+        contains_point(d, point)
+        includes(d, small)
+    assert calls == []
+    NewtonDiagram(2, [(1, 0)])
+    assert calls == [1]
+
+
 def test_contains_point_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         contains_point(from_points([(2, 0), (0, 2)], 2), (1, 1, 1))
