@@ -23,7 +23,7 @@ from .lattice import (
     check_admissible_weight,
 )
 from .engine import certify, h_value
-from .newton import NewtonDiagram, weight_of
+from .newton import NewtonDiagram, _least_degree
 
 __all__ = [
     "BlowupLedger",
@@ -51,7 +51,7 @@ def ledger(diagram: NewtonDiagram, weights) -> BlowupLedger:
     return BlowupLedger(
         weight=w,
         discrepancy=sum(w) - 1,
-        multiplicity=weight_of(diagram, w),
+        multiplicity=_least_degree(diagram.generators, w),
     )
 
 
@@ -75,7 +75,7 @@ def chart_transform(support: SupportSet, weights, chart: int) -> SupportSet:
     """
     w = check_admissible_weight(weights, support.dimension)
     i = _chart_index(w, chart)
-    wf = min(sum(wi * mi for wi, mi in zip(w, m)) for m in support.points)
+    wf = _least_degree(support.points, w)
     transformed = set()
     for m in support.points:
         excess_exponent = sum(wi * mi for wi, mi in zip(w, m)) - wf

@@ -25,12 +25,10 @@ face is one coordinate axis (e.g. a single generator on an axis); only then
 is there no ray seed.  Such diagrams may admit no vector below r*; the
 search then stops at the configured cap and reports a partial result rather
 than a wrong one.  The LP is the diagram's own, NewtonDiagram.maximin,
-solved once per diagram object on first use: ct_diagram, lct_diagram and
-ct_bruteforce share that one solve.  That saves a solve only for a caller
-that makes more than one of these calls on one object; the CLI commands
-make one each.  The solve keeps t* = t / d as the kernel's integers, and
-every comparison with t* or r* = d / t cross-multiplies them; a Fraction is
-built only for a value the caller gets back.
+solved once per diagram object and shared by ct_diagram, lct_diagram and
+ct_bruteforce.  It keeps t* = t / d as the kernel's integers, and every
+comparison with t* or r* = d / t cross-multiplies them; a Fraction is built
+only for a value the caller gets back.
 
 Within a level, a depth-first search fixes one coordinate at a time; its
 prefixes wait on one explicit stack, pushed in reverse so that they pop in
@@ -41,6 +39,15 @@ product plus x * m_k + (rest - x) * max_{j>k} m_j, linear in x, so the x
 that keep every m in reach form one integer interval and the others are cut
 (branch and bound).  best only decreases, so a cut vector cannot tie the
 final value either: the witnesses are those of the exhaustive search.
+
+A level is skipped before it pushes its root prefix when floor(level * t*)
+< need.  The dual certificate that NewtonDiagram.maximin checks is a point
+p = sum lam_m m of conv(gens) with p <= t*, so every w has the integer
+wf(w) <= <w, p> <= |w|_1 * t*.  Every leaf evaluated passed the exact
+interval of its last coordinate, so it has wf >= need: a skipped level
+would have evaluated none, and nodes is unchanged.  The skip rests on that
+certificate, not on _sandwich, which checks wf <= |w|_1 * t* only on the
+vectors evaluated: a t* below the optimum would skip levels holding ties.
 """
 
 from __future__ import annotations
@@ -53,14 +60,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .lattice import (
-    InadmissibleWeightError,
-    WeightVector,
-    check_admissible_weight,
-    fraction_to_json,
-    primitive,
-)
-from .newton import NewtonDiagram, weight_of
+from .lattice import WeightVector, check_admissible_weight, fraction_to_json
+from .newton import NewtonDiagram, _least_degree, weight_of
 
 __all__ = [
     "INFINITY",
@@ -214,20 +215,17 @@ def _check_no_unit(diagram: NewtonDiagram) -> None:
 def h_value(diagram: NewtonDiagram, weights: Sequence[int]) -> Fraction | _PlusInfinity:
     """(|w|_1 - 1) / wf(w) for an admissible weight vector, or +infinity."""
     w = check_admissible_weight(weights, diagram.dimension)
-    wf = weight_of(diagram, w)
-    if wf == 0:
-        return INFINITY
-    return Fraction(sum(w) - 1, wf)
+    wf = _least_degree(diagram.generators, w)
+    return Fraction(sum(w) - 1, wf) if wf else INFINITY
 
 
 def _ray_seed(u: Sequence[int]) -> WeightVector | None:
-    """Primitive vector on the ray of the LP's integer direction u, or None when
-    that ray is a coordinate axis (a unit vector is not admissible), which
-    maximin_lp returns only when the whole optimal face is that axis."""
-    try:
-        return primitive(u)
-    except InadmissibleWeightError:
-        return None
+    """Primitive vector on the ray of the certified LP direction u (u >= 0, sum
+    d > 0), or None on a coordinate axis (a unit vector is not admissible),
+    which maximin_lp returns only when the whole optimal face is that axis."""
+    g = math.gcd(*u)
+    w = tuple(x // g for x in u)
+    return None if sum(w) == 1 else w
 
 
 def _search_limit(best: _Best, t: int, d: int) -> int | None:
@@ -251,34 +249,41 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
     """Offer to best each vector outside skip that the cut leaves, level by
     level up to the level bound or the cap; returns (bound, nodes, status).
     A stack entry is a prefix: next coordinate k, head, its dot products with
-    the generators, rest of the level, gcd; entries pop in lexicographic order."""
+    the generators, rest of the level, gcd; entries pop in lexicographic order.
+    A level that the dual certificate rules out (module docstring) is skipped."""
     n = len(gens[0])
     cols = tuple(zip(*gens))
-    # tails[k][i]: largest entry of generator i after coordinate k
-    tails = [[max(m[k + 1:]) for m in gens] for k in range(n - 1)]
+    # coefs[k][i]: (m_k - tail, tail), tail the largest entry of generator i after k
+    coefs = [[(m[k] - max(m[k + 1:]), max(m[k + 1:])) for m in gens] for k in range(n - 1)]
     nodes = 0
     limit = _search_limit(best, t, d)
     level = 2
     while limit is None or level <= limit:
         if level > cap:
             return cap, nodes, STATUS_BOUND_EXCEEDED
-        improved = False
         # (level - 1) / wf ties or beats best iff wf >= need
         need = -(-(level - 1) * best.den // best.num)
-        stack = [(0, (), [0] * len(gens), level, 0)]
+        # every wf <= floor(level * t*) < need: no tie, no root prefix
+        stack = [(0, (), [0] * len(gens), level, 0)] if level * t // d >= need else []
         while stack:
             k, head, partial, rest, g = stack.pop()
             # the x that keep every <w, m> >= need in reach form [lo, hi]
             lo, hi = 0, rest
-            for p, mk, mt in zip(partial, cols[k], tails[k]):
-                a, c = mk - mt, need - p - rest * mt
+            for p, (a, mt) in zip(partial, coefs[k]):
+                c = need - p - rest * mt
                 if a > 0:
-                    lo = max(lo, -(-c // a))
+                    x = -(-c // a)
+                    if x > lo:
+                        lo = x
                 elif a < 0:
-                    hi = min(hi, c // a)
+                    x = c // a
+                    if x < hi:
+                        hi = x
                 elif c > 0:
                     break
             else:
+                if lo > hi:
+                    continue
                 if k < n - 2:
                     for x in range(hi, lo - 1, -1):
                         dots = [p + x * mk for p, mk in zip(partial, cols[k])]
@@ -293,10 +298,8 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
                     wf = min(p + x * a + (rest - x) * b for p, a, b in zip(partial, cols[k], cols[-1]))
                     _sandwich(w, wf, t, d)
                     if wf >= need and best.offer(w, level - 1, wf):
-                        improved = True
                         need = -(-(level - 1) * best.den // best.num)
-        if improved:
-            limit = _search_limit(best, t, d)
+                        limit = _search_limit(best, t, d)
         level += 1
     return limit, nodes, STATUS_COMPLETE
 
@@ -319,15 +322,11 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     t, d = sol.t, sol.d
 
     best = _Best()
-    seeds: list[WeightVector] = []
     ray = _ray_seed(sol.u)
-    if ray is not None:
-        seeds.append(ray)
-    ones = (1,) * diagram.dimension
-    if ones not in seeds:
-        seeds.append(ones)
+    # the ray seed and (1, ..., 1), each once
+    seeds = list(dict.fromkeys(w for w in (ray, (1,) * diagram.dimension) if w is not None))
     for w in seeds:
-        wf = weight_of(diagram, w)
+        wf = _least_degree(diagram.generators, w)
         _sandwich(w, wf, t, d)
         # the primitive vector on the optimal ray sits strictly under r* = d / t
         if w is ray and not (wf > 0 and (sum(w) - 1) * t < d * wf):

@@ -64,10 +64,6 @@ class MaximinSolution:
     def value(self) -> Fraction:
         return Fraction(self.t, self.d)
 
-    @property
-    def direction(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.d) for x in self.u)
-
 
 def _certified_maximin(gens: Sequence[ExponentVector], n: int) -> MaximinSolution:
     """The kernel's vertex on reduced, sorted generators, both certificates checked."""
@@ -132,8 +128,12 @@ def weight_of(diagram: NewtonDiagram, weights: Sequence[int]) -> int:
     Minimality of the generators suffices; dominated points never lower the
     minimum for nonnegative weights.
     """
-    w = _check_vector(weights, diagram.dimension, "weight vector")
-    return min(sum(wi * mi for wi, mi in zip(w, m)) for m in diagram.generators)
+    return _least_degree(diagram.generators, _check_vector(weights, diagram.dimension, "weight vector"))
+
+
+def _least_degree(gens: Sequence[ExponentVector], w: Sequence[int]) -> int:
+    """min over gens of <w, m>, for a weight vector that is already checked."""
+    return min(sum(map(operator.mul, w, m)) for m in gens)
 
 
 def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> bool:

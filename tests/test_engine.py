@@ -3,12 +3,14 @@
 import copy
 import dataclasses
 import gc
+import json
 import math
 import pickle
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -616,6 +618,28 @@ def test_cut_keeps_search_work_small():
     stalled = ct_diagram(from_points([(5, 0, 0)], 3), max_bound=2000)
     assert stalled.status == "bound-exceeded" and stalled.value == F(1, 5)
     assert stalled.nodes <= 2 * 2000
+
+
+_REPORTS = Path(__file__).resolve().parent / "data" / "ct_reports.json"
+
+
+def test_ct_reports_are_pinned():
+    # the whole ct_diagram JSON, nodes included, of 400 seeded diagrams
+    # (random.Random(2121)): x^2+y^3+z^c for 2 <= c <= 101 and 80
+    # four-variable Brieskorn tuples with exponents 2-12, at cap 200; 212
+    # diagrams in 2 to 6 variables, axis powers 1-9 on about 70 % of the axes
+    # plus 1 to n+2 points in [0, 4]^n, at cap 300; and 8 diagrams at a small
+    # cap.  12 of them end bound-exceeded.  A faster search must evaluate the
+    # same vectors; the caps keep a broken one from running for long
+    entries = json.loads(_REPORTS.read_text(encoding="utf-8"))
+    assert len(entries) == 400
+    assert sum(e["report"]["status"] == "bound-exceeded" for e in entries) == 12
+    moved = []
+    for e in entries:
+        report = ct_diagram(from_points(e["points"], e["n"]), max_bound=e["max_bound"])
+        if json.dumps(report.to_json_dict()) != json.dumps(e["report"]):
+            moved.append(f"{e['points']} at cap {e['max_bound']}: {report.to_json_dict()}")
+    assert moved == []
 
 
 def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):

@@ -578,19 +578,19 @@ def test_flat_parser_matches_reference_parser():
 def test_maximin_simplex_diagram():
     sol = maximin_lp({(3, 0, 0), (0, 7, 0), (0, 0, 11)}, 3)
     assert sol.value == F(231, 131)
-    assert sol.direction == (F(77, 131), F(33, 131), F(21, 131))
+    assert tuple(F(x, sol.d) for x in sol.u) == (F(77, 131), F(33, 131), F(21, 131))
 
 
 def test_maximin_two_dim_symmetric():
     sol = maximin_lp({(1, 0), (0, 1)}, 2)
     assert sol.value == F(1, 2)
-    assert sol.direction == (F(1, 2), F(1, 2))
+    assert tuple(F(x, sol.d) for x in sol.u) == (F(1, 2), F(1, 2))
 
 
 def test_maximin_third_coordinate_free():
     sol = maximin_lp({(2, 0, 0), (0, 3, 0)}, 3)
     assert sol.value == F(6, 5)
-    assert sol.direction == (F(3, 5), F(2, 5), 0)
+    assert tuple(F(x, sol.d) for x in sol.u) == (F(3, 5), F(2, 5), 0)
 
 
 def _solve_square(rows, rhs):
@@ -668,7 +668,7 @@ def test_maximin_certificate(gens, direction):
         u = tuple(F(x, total) for x in direction)
         assert min(sum(ux * mx for ux, mx in zip(u, m)) for m in gens) <= sol.value
     attained = min(
-        sum(ux * mx for ux, mx in zip(sol.direction, m)) for m in gens
+        sum(ux * mx for ux, mx in zip(tuple(F(x, sol.d) for x in sol.u), m)) for m in gens
     )
     assert attained == sol.value
 
@@ -729,7 +729,8 @@ def test_maximin_of_an_unreduced_set_is_the_kernel_vertex_on_it():
         assert len(_minimal_elements(gens)) < len(set(gens))
         sol = maximin_lp(gens, n)
         u, t, _, d = thresholdkit.lattice._solve_maximin(sorted(set(gens)), n)
-        assert (sol.value, sol.direction) == (F(t, d), tuple(F(x, d) for x in u)), gens
+        assert (sol.value, tuple(F(x, sol.d) for x in sol.u)) == \
+            (F(t, d), tuple(F(x, d) for x in u)), gens
         # the solution keeps the kernel's integers on the reduced generators
         u, t, _, d = thresholdkit.lattice._solve_maximin(list(_minimal_elements(gens)), n)
         assert (sol.u, sol.t, sol.d) == (tuple(u), t, d), gens
@@ -901,14 +902,14 @@ def test_maximin_vertex_is_pinned():
         gens = [tuple(g) for g in e["points"]]
         sol = maximin_lp(gens, e["n"])
         got = {"value": fraction_to_json(sol.value),
-               "direction": [fraction_to_json(u) for u in sol.direction]}
+               "direction": [fraction_to_json(u) for u in tuple(F(x, sol.d) for x in sol.u)]}
         if got != {"value": e["value"], "direction": e["direction"]}:
             moved.append(f"{e['points']}: {got} != {e['value']}, {e['direction']}")
         # the ray seed is missing only where the whole optimal face is one axis
         if _ray_seed(sol.u) is None:
             no_seed += 1
             face = {u for u, t in _basic_feasible_solutions(gens, e["n"]) if t == sol.value}
-            assert face == {sol.direction}, e["points"]
+            assert face == {tuple(F(x, sol.d) for x in sol.u)}, e["points"]
     assert moved == []
     assert no_seed == 17
 
