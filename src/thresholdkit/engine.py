@@ -54,14 +54,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
 from .lattice import WeightVector, check_admissible_weight, fraction_to_json
-from .newton import NewtonDiagram, _least_degree, weight_of
+from .newton import NewtonDiagram, _least_degree
 
 __all__ = [
     "INFINITY",
@@ -358,14 +357,20 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
 
     Reports the minimum over the box and every attaining vector; no
     completeness claim is made beyond the box, whose size is recorded in
-    search_bound.  With num/den the best value at the start of a head of the
-    first n-2 coordinates, w = head + (y, z) can tie or beat it only if
-    num * <w, m> + den >= den * |w|_1, that is y * a_m + z * b_m >= c_m, for
-    each generator m.  Two exact integer cuts (_narrow) select these vectors:
-    first the y for which every m passes with its best z in [0, cap], then,
-    for each such y, the z for which every m passes.  No vector passing the
-    test is skipped, and best only decreases, so the vectors kept, then tested
-    for admissibility and offered, include every final tie.  nodes, the
+    search_bound.  w can tie or beat a best value num/den only if
+    sum_j w_j e_j >= -den, e_j = num * m_j - den, for each generator m.
+    Exact integer cuts (_narrow) keep the w that can pass.  The heads, the
+    first n-2 coordinates, are walked depth first: with w_0..w_{k-1} fixed,
+    the coordinates after k add at most cap * sum_{j>k} max(e_j, 0), which
+    cuts w_k.  With a head fixed the tests read y * a_m + z * b_m >= c_m;
+    pairing each lower bound on z (b_m > 0, or z >= 0) with each upper one
+    (b_m <= 0, or z <= cap) eliminates z (Fourier-Motzkin) and cuts y to
+    the polygon's projection, until the rows left cost no more z-cuts
+    than the pairs left.  Each row y is then cut to exactly the z that pass.
+    Stack entries keep <head, m> and |head|_1, and each cut is built from
+    best when its entry is popped or its head begun.  best only decreases,
+    so a cut from an older best keeps a superset: the vectors kept, tested
+    for admissibility and offered include every final tie.  nodes, the
     admissible vectors of the box, is a Moebius sum.
     """
     _check_cap(cap, "cap")
@@ -373,35 +378,56 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     n = diagram.dimension
     gens = diagram.generators
 
-    side = cap + 1
     best = _Best()
-    for head in product(range(side), repeat=n - 2):
-        # before any offer, h(1, ..., 1) bounds the minimum over the box
-        num, den = (best.num, best.den) if best.den else (n - 1, min(map(sum, gens)))
-        s = den * (sum(head) - 1)
-        # map stops at len(head) == n - 2, so <head, m> uses the head of m only
-        cuts = [(s - num * sum(map(operator.mul, head, m)), num * m[-2] - den, num * m[-1] - den)
-                for m in gens]
-        ylo, yhi = 0, cap
-        for c, a, b in cuts:
-            ylo, yhi = _narrow(ylo, yhi, a, c - max(b, 0) * cap)
-            if ylo > yhi:
-                break
-        for y in range(ylo, yhi + 1):
-            zlo, zhi = 0, cap
-            for c, a, b in cuts:
-                zlo, zhi = _narrow(zlo, zhi, b, c - y * a)
-                if zlo > zhi:
+    # before any offer, h(1, ..., 1) bounds the minimum over the box
+    first = (n - 1, min(map(sum, gens)))
+    stack = [((), [0] * len(gens), 0)]
+    while stack:
+        head, dots, s = stack.pop()
+        k = len(head)
+        heads = [(head, dots, s)]
+        if k < n - 2:
+            num, den = (best.num, best.den) if best.den else first
+            lo, hi = 0, cap
+            for p, m in zip(dots, gens):
+                tail = cap * sum(max(num * mj - den, 0) for mj in m[k + 1:])
+                lo, hi = _narrow(lo, hi, num * m[k] - den, den * (s - 1) - num * p - tail)
+                if lo > hi:
                     break
-            for z in range(zlo, zhi + 1):
-                w = head + (y, z)
-                if sum(w) >= 2 and math.gcd(*w) == 1:
-                    best.offer(w, sum(w) - 1, weight_of(diagram, w))
+            heads = [(head + (x,), [p + x * m[k] for p, m in zip(dots, gens)], s + x)
+                     for x in range(lo, hi + 1)]
+            if k < n - 3:
+                stack += reversed(heads)
+                continue
+        for head, dots, s in heads:
+            num, den = (best.num, best.den) if best.den else first
+            cuts = [(den * (s - 1) - num * p, num * m[-2] - den, num * m[-1] - den)
+                    for p, m in zip(dots, gens)]
+            # z >= 0 and z <= cap, as cuts c, a, b: y * a + z * b >= c
+            lows = [cut for cut in cuts if cut[2] > 0] + [(0, 0, 1)]
+            ups = [cut for cut in cuts if cut[2] <= 0] + [(-cap, 0, -1)]
+            ylo, yhi, left = 0, cap, len(lows) * len(ups)
+            for (cl, al, bl), (cu, au, bu) in product(lows, ups):
+                # stop once the rows left (none if empty) cost no more z-cuts than the pairs left
+                if (yhi - ylo + 1) * len(gens) <= left:
+                    break
+                left -= 1
+                ylo, yhi = _narrow(ylo, yhi, bl * au - bu * al, bl * cu - bu * cl)
+            for y in range(ylo, yhi + 1):
+                zlo, zhi = 0, cap
+                for c, a, b in cuts:
+                    zlo, zhi = _narrow(zlo, zhi, b, c - y * a)
+                    if zlo > zhi:
+                        break
+                for z in range(zlo, zhi + 1):
+                    w = head + (y, z)
+                    if sum(w) >= 2 and math.gcd(*w) == 1:
+                        best.offer(w, sum(w) - 1, _least_degree(gens, w))
     mu = [0, 1] + [0] * (cap - 1)
-    for k in range(1, side):
-        for j in range(2 * k, side, k):
+    for k in range(1, cap + 1):
+        for j in range(2 * k, cap + 1, k):
             mu[j] -= mu[k]
-    nodes = sum(mu[k] * ((cap // k + 1) ** n - 1) for k in range(1, side)) - n
+    nodes = sum(mu[k] * ((cap // k + 1) ** n - 1) for k in range(1, cap + 1)) - n
     sol = diagram.maximin
     return best.report(Fraction(sol.d, sol.t), cap, nodes, STATUS_COMPLETE)
 
