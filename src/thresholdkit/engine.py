@@ -156,9 +156,10 @@ class Certification:
 
 class _Best:
     """Least h offered so far, as an unreduced pair num/den (den == 0: none
-    yet), and every vector attaining it.  The search and the oracle offer
-    only the vectors with wf >= ceil((|w|_1 - 1) * den / num), which keeps
-    every tie; offer makes the exact comparison."""
+    yet; the oracle starts at h(1, ..., 1) with no witness), and every
+    vector attaining it.  The search and the oracle offer only the vectors
+    with wf >= ceil((|w|_1 - 1) * den / num), which keeps every tie; offer
+    makes the exact comparison."""
 
     __slots__ = ("num", "den", "witnesses")
 
@@ -359,18 +360,19 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     completeness claim is made beyond the box, whose size is recorded in
     search_bound.  w can tie or beat a best value num/den only if
     sum_j w_j e_j >= -den, e_j = num * m_j - den, for each generator m.
-    Exact integer cuts (_narrow) keep the w that can pass.  The heads, the
-    first n-2 coordinates, are walked depth first: with w_0..w_{k-1} fixed,
-    the coordinates after k add at most cap * sum_{j>k} max(e_j, 0), which
-    cuts w_k.  With a head fixed the tests read y * a_m + z * b_m >= c_m;
+    Exact integer cuts (_narrow) keep the w that can pass.  One stack walks
+    the heads, the first k <= n-2 coordinates, depth first, keeping
+    <head, m> and |head|_1.  A popped head shorter than n-2 cuts w_k, since
+    the coordinates after k add at most cap * sum_{j>k} max(e_j, 0), and
+    pushes its children.  A full head leaves y * a_m + z * b_m >= c_m;
     pairing each lower bound on z (b_m > 0, or z >= 0) with each upper one
     (b_m <= 0, or z <= cap) eliminates z (Fourier-Motzkin) and cuts y to
     the polygon's projection, until the rows left cost no more z-cuts
     than the pairs left.  Each row y is then cut to exactly the z that pass.
-    Stack entries keep <head, m> and |head|_1, and each cut is built from
-    best when its entry is popped or its head begun.  best only decreases,
-    so a cut from an older best keeps a superset: the vectors kept, tested
-    for admissibility and offered include every final tie.  nodes, the
+    best starts at h(1, ..., 1), which the box attains, and each cut is
+    built from best when its entry is popped.  best only decreases, so a
+    cut from an older best keeps a superset: the vectors kept, tested for
+    admissibility and offered include every final tie.  nodes, the
     admissible vectors of the box, is a Moebius sum.
     """
     _check_cap(cap, "cap")
@@ -379,50 +381,45 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     gens = diagram.generators
 
     best = _Best()
-    # before any offer, h(1, ..., 1) bounds the minimum over the box
-    first = (n - 1, min(map(sum, gens)))
+    # (1, ..., 1) is in the box: h(1, ..., 1) bounds the minimum, a tie when offered
+    best.num, best.den = n - 1, min(map(sum, gens))
     stack = [((), [0] * len(gens), 0)]
     while stack:
         head, dots, s = stack.pop()
         k = len(head)
-        heads = [(head, dots, s)]
+        num, den = best.num, best.den
         if k < n - 2:
-            num, den = (best.num, best.den) if best.den else first
             lo, hi = 0, cap
             for p, m in zip(dots, gens):
                 tail = cap * sum(max(num * mj - den, 0) for mj in m[k + 1:])
                 lo, hi = _narrow(lo, hi, num * m[k] - den, den * (s - 1) - num * p - tail)
                 if lo > hi:
                     break
-            heads = [(head + (x,), [p + x * m[k] for p, m in zip(dots, gens)], s + x)
-                     for x in range(lo, hi + 1)]
-            if k < n - 3:
-                stack += reversed(heads)
-                continue
-        for head, dots, s in heads:
-            num, den = (best.num, best.den) if best.den else first
-            cuts = [(den * (s - 1) - num * p, num * m[-2] - den, num * m[-1] - den)
-                    for p, m in zip(dots, gens)]
-            # z >= 0 and z <= cap, as cuts c, a, b: y * a + z * b >= c
-            lows = [cut for cut in cuts if cut[2] > 0] + [(0, 0, 1)]
-            ups = [cut for cut in cuts if cut[2] <= 0] + [(-cap, 0, -1)]
-            ylo, yhi, left = 0, cap, len(lows) * len(ups)
-            for (cl, al, bl), (cu, au, bu) in product(lows, ups):
-                # stop once the rows left (none if empty) cost no more z-cuts than the pairs left
-                if (yhi - ylo + 1) * len(gens) <= left:
+            stack += [(head + (x,), [p + x * m[k] for p, m in zip(dots, gens)], s + x)
+                      for x in range(hi, lo - 1, -1)]
+            continue
+        cuts = [(den * (s - 1) - num * p, num * m[-2] - den, num * m[-1] - den)
+                for p, m in zip(dots, gens)]
+        # z >= 0 and z <= cap, as cuts c, a, b: y * a + z * b >= c
+        lows = [cut for cut in cuts if cut[2] > 0] + [(0, 0, 1)]
+        ups = [cut for cut in cuts if cut[2] <= 0] + [(-cap, 0, -1)]
+        ylo, yhi, left = 0, cap, len(lows) * len(ups)
+        for (cl, al, bl), (cu, au, bu) in product(lows, ups):
+            # stop once the rows left (none if empty) cost no more z-cuts than the pairs left
+            if (yhi - ylo + 1) * len(gens) <= left:
+                break
+            left -= 1
+            ylo, yhi = _narrow(ylo, yhi, bl * au - bu * al, bl * cu - bu * cl)
+        for y in range(ylo, yhi + 1):
+            zlo, zhi = 0, cap
+            for c, a, b in cuts:
+                zlo, zhi = _narrow(zlo, zhi, b, c - y * a)
+                if zlo > zhi:
                     break
-                left -= 1
-                ylo, yhi = _narrow(ylo, yhi, bl * au - bu * al, bl * cu - bu * cl)
-            for y in range(ylo, yhi + 1):
-                zlo, zhi = 0, cap
-                for c, a, b in cuts:
-                    zlo, zhi = _narrow(zlo, zhi, b, c - y * a)
-                    if zlo > zhi:
-                        break
-                for z in range(zlo, zhi + 1):
-                    w = head + (y, z)
-                    if sum(w) >= 2 and math.gcd(*w) == 1:
-                        best.offer(w, sum(w) - 1, _least_degree(gens, w))
+            for z in range(zlo, zhi + 1):
+                w = head + (y, z)
+                if sum(w) >= 2 and math.gcd(*w) == 1:
+                    best.offer(w, sum(w) - 1, _least_degree(gens, w))
     mu = [0, 1] + [0] * (cap - 1)
     for k in range(1, cap + 1):
         for j in range(2 * k, cap + 1, k):

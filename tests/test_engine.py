@@ -32,6 +32,7 @@ from thresholdkit import (
     from_points,
     from_support,
     h_value,
+    includes,
     lct_diagram,
     maximin_lp,
     parse_polynomial,
@@ -507,7 +508,6 @@ def test_ct_below_lct_on_random_diagrams():
 
 def test_monotone_under_inclusion_random_pairs():
     rng = random.Random(41)
-    from thresholdkit import includes
     for _ in range(30):
         big = random_convenient_diagram(rng, max_power=7)
         shifted = [tuple(x + rng.randint(0, 2) for x in g) for g in big.generators]
@@ -519,6 +519,31 @@ def test_monotone_under_inclusion_random_pairs():
         small = from_points(shifted + axis_powers, 3)
         assert includes(big, small)
         assert ct_diagram(small).value <= ct_diagram(big).value
+
+
+@pytest.mark.parametrize("n, seed", [(4, 43), (5, 53), (6, 63), (7, 73)])
+def test_monotone_under_inclusion_in_4_to_7_variables(n, seed):
+    # axis powers n+1 to n+3 keep most values below 1 and most level bounds
+    # within the cap (axis powers 2 to 7 give ct = 1 on nearly every 6- and
+    # 7-variable pair); a pair that ends bound-exceeded is skipped.  Compared
+    # pairs: 19, 19, 14 and 10, all strict
+    rng = random.Random(seed)
+    strict = 0
+    for _ in range(20):
+        axes = [tuple(rng.randint(n + 1, n + 3) if j == i else 0 for j in range(n))
+                for i in range(n)]
+        pts = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, n))]
+        big = from_points(axes + [p for p in pts if any(p)], n)
+        shifted = [tuple(x + rng.randint(0, 2) for x in g) for g in big.generators]
+        grown = [tuple(x + rng.randint(1, 2) if x else 0 for x in a) for a in axes]
+        small = from_points(shifted + grown, n)
+        assert includes(big, small)
+        low, high = (ct_diagram(d, max_bound=40) for d in (small, big))
+        if "bound-exceeded" in (low.status, high.status):
+            continue
+        assert low.value <= high.value, (big, small)
+        strict += low.value < high.value
+    assert strict >= 8
 
 
 def test_engine_agrees_with_closed_form_sample():
@@ -607,14 +632,13 @@ def test_bruteforce_matches_engine_at_deeper_bounds(pts):
     assert (oracle.value, oracle.witnesses) == (engine.value, engine.witnesses)
 
 
-@pytest.mark.parametrize("n, box, seed", [(4, 12, 41), (5, 9, 51), (6, 7, 61)])
-def test_oracle_matches_engine_in_4_to_6_variables(n, box, seed):
-    # the engine's whole search region lies in the box; each diagram is also
-    # run with its coordinates permuted, through the engine and the oracle
-    start = time.time()
-    rng = random.Random(seed)
+def _check_oracle_in_box(rng, n, box, count):
+    """Engine = oracle, value and witnesses, on count _mixed_diagrams with
+    ct < 1 whose whole search region lies in the box; each is also run with
+    its coordinates permuted, through the engine and the oracle.  Returns
+    how many have a witness entry >= 2 and how many have tied witnesses."""
     checked = deep = tied = 0
-    while checked < 60:
+    while checked < count:
         d = _mixed_diagram(rng, n)
         engine = ct_diagram(d, max_bound=box)
         if engine.status != "complete" or engine.value >= 1 or engine.search_bound > box:
@@ -629,13 +653,29 @@ def test_oracle_matches_engine_in_4_to_6_variables(n, box, seed):
         want = tuple(sorted(tuple(w[i] for i in perm) for w in engine.witnesses))
         for report in (ct_diagram(moved, max_bound=box), ct_bruteforce(moved, box)):
             assert (report.value, report.witnesses) == (engine.value, want), (d, perm)
+    return deep, tied
+
+
+@pytest.mark.parametrize("n, box, seed", [(4, 12, 41), (5, 9, 51), (6, 7, 61)])
+def test_oracle_matches_engine_in_4_to_6_variables(n, box, seed):
+    start = time.time()
+    deep, tied = _check_oracle_in_box(random.Random(seed), n, box, 60)
     assert deep >= 20 and tied >= 5
+    assert time.time() - start < 120
+
+
+def test_oracle_matches_engine_in_7_variables():
+    # most 7-variable draws are clamped or overrun box 6: these 25 take
+    # about 1 150 draws, and 8 have a witness entry >= 2 and 3 tied witnesses
+    start = time.time()
+    deep, tied = _check_oracle_in_box(random.Random(71), 7, 6, 25)
+    assert deep >= 6 and tied >= 2
     assert time.time() - start < 120
 
 
 def test_oracle_cut_keeps_work_small(monkeypatch):
     # _narrow calls are machine-independent; cutting y by each generator
-    # alone and walking every head took 202 and 30 177 calls on these
+    # alone and walking every head took 202, 30 177 and 3 552 calls on these
     calls = 0
     narrow = engine_module._narrow
 
@@ -646,7 +686,8 @@ def test_oracle_cut_keeps_work_small(monkeypatch):
 
     monkeypatch.setattr(engine_module, "_narrow", counted)
     for text, cap, most in [("x^2+y^3+z^7", 25, 120),
-                            ("x1^2+x2^3+x3^4+x4^5+x5^6+x6^7", 8, 4000)]:
+                            ("x1^2+x2^3+x3^4+x4^5+x5^6+x6^7", 8, 4000),
+                            ("x^3+y^7+z^11+w^13", 26, 1100)]:
         d = diagram(text)
         calls = 0
         report = ct_bruteforce(d, cap)
