@@ -155,26 +155,24 @@ class Certification:
 
 
 class _Best:
-    """Least h offered so far, as an unreduced pair num/den (den == 0: none
-    yet; the oracle starts at h(1, ..., 1) with no witness), and every
-    vector attaining it.  The search and the oracle offer only the vectors
-    with wf >= ceil((|w|_1 - 1) * den / num), which keeps every tie; offer
-    makes the exact comparison."""
+    """Least h offered so far, as an unreduced pair num/den, and every vector
+    attaining it.  Both searches start at h(1, ..., 1) = (n - 1) / min |m|_1
+    with no witness: (1, ..., 1) is a seed and in every box, so it ties when
+    offered.  Only vectors with wf >= ceil((|w|_1 - 1) * den / num) are
+    offered, which keeps every tie; offer makes the exact comparison."""
 
     __slots__ = ("num", "den", "witnesses")
 
-    def __init__(self):
-        self.num = 0
-        self.den = 0
+    def __init__(self, gens: Sequence[tuple[int, ...]]):
+        self.num = len(gens[0]) - 1
+        self.den = min(map(sum, gens))
         self.witnesses: list[WeightVector] = []
 
     def offer(self, w: WeightVector, num: int, wf: int) -> bool:
-        """Record w if num/wf ties or beats the best value (wf == 0 is
-        +infinity and never recorded); True iff it strictly beats it.
+        """Record w if num/wf ties or beats the best value; True iff it
+        strictly beats it.  den > 0, so wf == 0 (+infinity) does neither.
         Each vector must be offered at most once."""
-        if wf == 0:
-            return False
-        if self.den == 0 or num * self.den < self.num * wf:
+        if num * self.den < self.num * wf:
             self.num, self.den = num, wf
             self.witnesses = [w]
             return True
@@ -321,7 +319,7 @@ def ct_diagram(diagram: NewtonDiagram, max_bound: int | None = None) -> Threshol
     sol = diagram.maximin
     t, d = sol.t, sol.d
 
-    best = _Best()
+    best = _Best(diagram.generators)
     ray = _ray_seed(sol.u)
     # the ray seed and (1, ..., 1), each once
     seeds = list(dict.fromkeys(w for w in (ray, (1,) * diagram.dimension) if w is not None))
@@ -369,20 +367,17 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     (b_m <= 0, or z <= cap) eliminates z (Fourier-Motzkin) and cuts y to
     the polygon's projection, until the rows left cost no more z-cuts
     than the pairs left.  Each row y is then cut to exactly the z that pass.
-    best starts at h(1, ..., 1), which the box attains, and each cut is
-    built from best when its entry is popped.  best only decreases, so a
-    cut from an older best keeps a superset: the vectors kept, tested for
-    admissibility and offered include every final tie.  nodes, the
-    admissible vectors of the box, is a Moebius sum.
+    Each cut is built from best (start: see _Best) when its entry is popped.
+    best only decreases, so a cut from an older best keeps a superset: the
+    vectors kept, tested for admissibility and offered include every final
+    tie.  nodes, the admissible vectors of the box, is a Moebius sum.
     """
     _check_cap(cap, "cap")
     _check_no_unit(diagram)
     n = diagram.dimension
     gens = diagram.generators
 
-    best = _Best()
-    # (1, ..., 1) is in the box: h(1, ..., 1) bounds the minimum, a tie when offered
-    best.num, best.den = n - 1, min(map(sum, gens))
+    best = _Best(gens)
     stack = [((), [0] * len(gens), 0)]
     while stack:
         head, dots, s = stack.pop()

@@ -156,7 +156,8 @@ def check_admissible_weight(w: Sequence[int], dimension: int | None = None) -> W
 
 DEFAULT_NAMED_VARIABLES = ("x", "y", "z", "w")
 
-_TOKEN_RE = re.compile(r"(?P<num>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/])|(?P<bad>\S)")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_TOKEN_RE = re.compile(rf"(?P<num>[0-9]+)|(?P<name>{_NAME_RE.pattern})|(?P<op>[-+*^/])|(?P<bad>\S)")
 _INDEXED_RE = re.compile(r"x([1-9])")
 
 
@@ -306,7 +307,7 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
 
 def support_to_text(support: SupportSet, variables: Sequence[str] | None = None) -> str:
     """Render a support in canonical form.  parse_polynomial reads it back,
-    dimension included, only when given the same variable names."""
+    dimension included, given the same names (distinct, each one token)."""
     if variables is None:
         if support.dimension <= len(DEFAULT_NAMED_VARIABLES):
             variables = DEFAULT_NAMED_VARIABLES[: support.dimension]
@@ -316,6 +317,10 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
         raise DimensionMismatchError(
             f"{len(variables)} variable names for dimension {support.dimension}"
         )
+    for name in variables:
+        if not isinstance(name, str) or _NAME_RE.fullmatch(name) is None:
+            raise ValueError(f"variable name {name!r} is not a letter followed by letters and digits")
+    variables = _resolve_variables({}, variables)  # rejects duplicate names
     terms = []
     for point in support.sorted_points:
         factors = [

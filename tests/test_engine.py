@@ -272,12 +272,13 @@ def test_bruteforce_matches_engine_on_random_diagrams():
 
 
 def _reference_bruteforce(d, cap):
-    """The box oracle as one plain loop over every vector: the reference
+    """The box oracle as one plain loop over every vector, with its own
+    record of the minimum (not _Best, which the oracle uses): the reference
     that ct_bruteforce's interval cuts must reproduce, nodes included."""
     n = d.dimension
     gens = d.generators
-    best = engine_module._Best()
-    best_num = best_den = 0
+    best_num = best_den = 0  # best_den == 0: no value yet
+    witnesses = []
     nodes = 0
     box = range(cap + 1)
     lasts = tuple(m[-1] for m in gens)
@@ -290,11 +291,20 @@ def _reference_bruteforce(d, cap):
                 continue
             nodes += 1
             wf = min(p + t * last for p, t in zip(partial, lasts))
+            if wf == 0:
+                continue
             num = s_head + last - 1
-            if num * best_den <= best_num * wf:
-                best.offer(head + (last,), num, wf)
-                best_num, best_den = best.num, best.den
-    return best.report(1 / maximin_lp(gens, n).value, cap, nodes, "complete")
+            if best_den == 0 or num * best_den < best_num * wf:
+                best_num, best_den, witnesses = num, wf, [head + (last,)]
+            elif num * best_den == best_num * wf:
+                witnesses.append(head + (last,))
+    raw = F(best_num, best_den)
+    clamped = raw > 1
+    return engine_module.ThresholdReport(
+        value=F(1) if clamped else raw, clamped=clamped,
+        witnesses=() if clamped else tuple(sorted(witnesses)),
+        relaxation=1 / maximin_lp(gens, n).value, search_bound=cap, nodes=nodes,
+        status="complete")
 
 
 def _sample_diagram(rng, n, k):
@@ -799,7 +809,7 @@ def test_search_limit_matches_the_fraction_formula():
             num, den = g * d - 1, g * t
         else:
             num, den = rng.randint(1, 10**4), rng.randint(1, 10**4)
-        best = engine_module._Best()
+        best = engine_module._Best([(2, 0), (0, 3)])
         best.num, best.den = num, den
         got = engine_module._search_limit(best, t, d)
         assert got == _search_limit_by_fractions(num, den, t, d), (num, den, t, d)
@@ -807,9 +817,54 @@ def test_search_limit_matches_the_fraction_formula():
     # best == r* stops the bound exactly when r* <= 1; just under r* never does
     assert kinds[1] > 0 and kinds[2] == 0
     # r* = 131/231 and best = 392/693, 1/693 under it: L = 131 * 693 / 231
-    best = engine_module._Best()
+    best = engine_module._Best([(2, 0), (0, 3)])
     best.num, best.den = 3 * 131 - 1, 3 * 231
     assert engine_module._search_limit(best, 231, 131) == 393
+
+
+def test_best_starts_at_h_of_ones_and_never_records_wf_zero():
+    # den > 0 from the start, so for num >= 1 both num * den < best.num * 0
+    # and num * den == best.num * 0 fail: a vector with wf == 0 (h =
+    # +infinity) neither beats nor ties, before or after the record moves
+    rng = random.Random(2024)
+    for n in range(2, 9):
+        ones, flat, two = (1,) * n, (1,) * (n - 1) + (0,), (2,) + (1,) * (n - 1)
+        # a convenient diagram, and one on the last axis, where wf(flat) == 0
+        axis = from_points([(0,) * (n - 1) + (rng.randint(1, 9),)], n)
+        assert engine_module._least_degree(axis.generators, flat) == 0
+        for d in (random_convenient_diagram(rng, n=n, max_power=6), axis):
+            best = engine_module._Best(d.generators)
+            assert (best.num, best.den, best.witnesses) == (n - 1, min(map(sum, d.generators)), [])
+            assert h_value(d, ones) == F(best.num, best.den)
+            start = best.den
+            for w, num, wf, beats, witnesses in [
+                    (flat, n - 1, 0, False, []),
+                    (ones, n - 1, start, False, [ones]),  # the start value ties
+                    (flat, 1, 0, False, [ones]),
+                    (two, n, 3 * start, True, [two]),  # n / 3 < n - 1
+                    (flat, 10**40, 0, False, [two])]:
+                assert best.offer(w, num, wf) is beats
+                assert best.witnesses == witnesses
+
+
+def _code_names(func):
+    """The global and attribute names that func's code uses, nested code
+    objects (comprehensions, before Python 3.12) included."""
+    codes, names = [func.__code__], set()
+    while codes:
+        code = codes.pop()
+        names |= set(code.co_names)
+        codes += [c for c in code.co_consts if hasattr(c, "co_names")]
+    return names
+
+
+def test_oracle_stays_independent_of_the_search():
+    # the box oracle checks the level search, so it must not run its code;
+    # the search, in turn, does not use the oracle's interval cut
+    search = {"_search", "_search_limit", "_sandwich", "_ray_seed", "ct_diagram"}
+    assert not _code_names(ct_bruteforce) & search
+    assert "_narrow" not in _code_names(engine_module._search)
+    assert "_narrow" not in _code_names(ct_diagram)
 
 
 def test_search_leaves_no_cyclic_garbage():

@@ -233,6 +233,19 @@ def test_print_default_names():
         support_to_text(parse_polynomial("x + y + z"), ("x", "y"))
 
 
+@pytest.mark.parametrize("names, message", [
+    # "z^5 + x^3 + x^2" reads back as another support, without an error
+    (["x", "x", "z"], r"duplicate variable names in \('x', 'x', 'z'\)"),
+    (["x", "y", "2"], "variable name '2' is not a letter"),
+    (["x", "y", "z_1"], "variable name 'z_1' is not a letter"),
+    (["x", "y", ""], "variable name '' is not a letter"),
+    (["x", "y", 3], "variable name 3 is not a letter"),
+])
+def test_print_rejects_names_that_do_not_read_back(names, message):
+    with pytest.raises(ValueError, match=message):
+        support_to_text(parse_polynomial("x^2+y^3+z^5"), names)
+
+
 def test_print_keeps_the_dimension_only_with_the_same_names():
     # without names parse_polynomial infers the dimension from the names that
     # occur: 2 variables, 4 without w, and 5 with x4, x5 unused all come back
