@@ -354,23 +354,30 @@ def _narrow(lo: int, hi: int, a: int, c: int) -> tuple[int, int]:
 def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     """Independent oracle: exhaust admissible vectors in the box [0, cap]^n.
 
-    Reports the minimum over the box and every attaining vector; no
-    completeness claim is made beyond the box, whose size is recorded in
-    search_bound.  w can tie or beat a best value num/den only if
-    sum_j w_j e_j >= -den, e_j = num * m_j - den, for each generator m.
-    Exact integer cuts (_narrow) keep the w that can pass.  One stack walks
-    the heads, the first k <= n-2 coordinates, depth first, keeping
-    <head, m> and |head|_1.  A popped head shorter than n-2 cuts w_k, since
-    the coordinates after k add at most cap * sum_{j>k} max(e_j, 0), and
-    pushes its children.  A full head leaves y * a_m + z * b_m >= c_m;
-    pairing each lower bound on z (b_m > 0, or z >= 0) with each upper one
-    (b_m <= 0, or z <= cap) eliminates z (Fourier-Motzkin) and cuts y to
-    the polygon's projection, until the rows left cost no more z-cuts
-    than the pairs left.  Each row y is then cut to exactly the z that pass.
-    Each cut is built from best (start: see _Best) when its entry is popped.
-    best only decreases, so a cut from an older best keeps a superset: the
-    vectors kept, tested for admissibility and offered include every final
+    Reports the minimum over the box (no claim beyond it; search_bound is
+    cap) and every attaining vector.  w can tie or beat a best value num/den
+    only if sum_j w_j e_j >= -den, e_j = num * m_j - den, for each generator
+    m.  Exact integer cuts (_narrow), built from best (start: see _Best) when
+    their entry is popped, keep the w that can pass; best only decreases, so
+    the w kept, tested for admissibility and offered include every final
     tie.  nodes, the admissible vectors of the box, is a Moebius sum.
+
+    One stack walks the heads, the first k <= n-2 coordinates, depth first;
+    an entry holds its parent's <head, m> and |head|_1.  A popped head
+    shorter than n-2 cuts w_k, since the coordinates after k add at most
+    cap * sum_{j>k} max(e_j, 0), and pushes its children.  A full head
+    leaves y * a_m + z * b_m >= c_m; pairing each lower bound on z (b_m > 0,
+    or z >= 0) with each upper one (b_m <= 0, or z <= cap) eliminates z
+    (Fourier-Motzkin) and cuts y to the polygon's projection, until the rows
+    left cost no more z-cuts than the pairs left; each row y is then cut to
+    exactly the z that pass.  Siblings (heads that differ only in the last
+    coordinate) pop in ascending order; a head's later ones are dropped if
+    ylo >= yhi + 2 and the last witness has its prefix.  R = {w in [0, cap]^n
+    real : num * <w, m> >= den * (|w|_1 - 1) for all m} is convex, so with
+    the prefix fixed the last head coordinate ranges over an interval of R.
+    Fourier-Motzkin is exact over the reals, and a ceil 2 above a floor (not
+    1) leaves no real point, so the head's x0 is outside it; the witness, an
+    earlier sibling, lies in it below x0.  Later best values only shrink R.
     """
     _check_cap(cap, "cap")
     _check_no_unit(diagram)
@@ -382,6 +389,8 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
     while stack:
         head, dots, s = stack.pop()
         k = len(head)
+        x = head[-1] if head else 0  # add x to the parent's <head, m> and |head|_1
+        dots, s = [p + x * m[k - 1] for p, m in zip(dots, gens)], s + x
         num, den = best.num, best.den
         if k < n - 2:
             lo, hi = 0, cap
@@ -390,8 +399,7 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
                 lo, hi = _narrow(lo, hi, num * m[k] - den, den * (s - 1) - num * p - tail)
                 if lo > hi:
                     break
-            stack += [(head + (x,), [p + x * m[k] for p, m in zip(dots, gens)], s + x)
-                      for x in range(hi, lo - 1, -1)]
+            stack += [(head + (x,), dots, s) for x in range(hi, lo - 1, -1)]
             continue
         cuts = [(den * (s - 1) - num * p, num * m[-2] - den, num * m[-1] - den)
                 for p, m in zip(dots, gens)]
@@ -405,6 +413,9 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
                 break
             left -= 1
             ylo, yhi = _narrow(ylo, yhi, bl * au - bu * al, bl * cu - bu * cl)
+        if ylo > yhi + 1 and best.witnesses and best.witnesses[-1][:k - 1] == head[:-1]:
+            while stack and len(stack[-1][0]) == k:  # no sibling left can tie: see above
+                stack.pop()
         for y in range(ylo, yhi + 1):
             zlo, zhi = 0, cap
             for c, a, b in cuts:
@@ -420,8 +431,7 @@ def ct_bruteforce(diagram: NewtonDiagram, cap: int) -> ThresholdReport:
         for j in range(2 * k, cap + 1, k):
             mu[j] -= mu[k]
     nodes = sum(mu[k] * ((cap // k + 1) ** n - 1) for k in range(1, cap + 1)) - n
-    sol = diagram.maximin
-    return best.report(Fraction(sol.d, sol.t), cap, nodes, STATUS_COMPLETE)
+    return best.report(1 / diagram.maximin.value, cap, nodes, STATUS_COMPLETE)
 
 
 def certify(diagram: NewtonDiagram, c: Fraction,

@@ -253,6 +253,9 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
 def _resolve_variables(positions: dict[str, int], variables: Sequence[str] | None) -> tuple[str, ...]:
     if variables is not None:
         vars_ = tuple(variables)
+        for name in vars_:
+            if not isinstance(name, str) or _NAME_RE.fullmatch(name) is None:
+                raise ValueError(f"variable name {name!r} is not a letter followed by letters and digits")
         if len(set(vars_)) != len(vars_):
             raise ValueError(f"duplicate variable names in {vars_}")
         _check_dimension(len(vars_))
@@ -317,10 +320,7 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
         raise DimensionMismatchError(
             f"{len(variables)} variable names for dimension {support.dimension}"
         )
-    for name in variables:
-        if not isinstance(name, str) or _NAME_RE.fullmatch(name) is None:
-            raise ValueError(f"variable name {name!r} is not a letter followed by letters and digits")
-    variables = _resolve_variables({}, variables)  # rejects duplicate names
+    variables = _resolve_variables({}, variables)  # rejects names that do not read back
     terms = []
     for point in support.sorted_points:
         factors = [

@@ -128,6 +128,16 @@ def test_ct_explicit_vars(capsys):
     assert "witnesses: (1,1)" in out
 
 
+def test_ct_vars_that_are_not_one_token_exit_1(capsys):
+    # a name the tokenizer never reads as one variable was accepted, exit 0
+    for names in ("x,y,z_1", "x,y,2"):
+        code, out, err = run(capsys, "ct", "x+y", "--vars", names)
+        assert code == 1, names
+        assert out == ""
+        bad = names.split(",")[-1]
+        assert err == f"error: variable name {bad!r} is not a letter followed by letters and digits\n"
+
+
 def test_vars_with_diagram_file_exits_1(tmp_path, capsys):
     # the file's JSON fixes the dimension; names were ignored, even too few
     path = tmp_path / "diagram.json"

@@ -246,6 +246,19 @@ def test_print_rejects_names_that_do_not_read_back(names, message):
         support_to_text(parse_polynomial("x^2+y^3+z^5"), names)
 
 
+@pytest.mark.parametrize("names, message", [
+    (["x", "x", "y"], r"duplicate variable names in \('x', 'x', 'y'\)"),
+    # both parsed "x+y" as a 3-variable support without an error
+    (["x", "y", "z_1"], "variable name 'z_1' is not a letter"),
+    (["x", "y", "2"], "variable name '2' is not a letter"),
+    # the name check comes first
+    (["x", "2", "2"], "variable name '2' is not a letter"),
+])
+def test_parse_rejects_names_that_are_not_one_token(names, message):
+    with pytest.raises(ValueError, match=message):
+        parse_polynomial("x+y", names)
+
+
 def test_print_keeps_the_dimension_only_with_the_same_names():
     # without names parse_polynomial infers the dimension from the names that
     # occur: 2 variables, 4 without w, and 5 with x4, x5 unused all come back
