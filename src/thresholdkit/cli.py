@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -113,6 +112,8 @@ def _map(fn, jobs: list, parallel: int | None, chunksize: int = 1) -> list:
     workers = min(parallel or 1, len(jobs), os.cpu_count() or 1)
     if workers < 2:
         return [fn(job) for job in jobs]
+    # imported here: the pool pulls in multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunksize))
 

@@ -37,15 +37,23 @@ lexicographic order.  A vector ties or beats the best value so far only if
 prefix fixed and x the next coordinate, <w, m> is at most the prefix's dot
 product plus x * m_k + (rest - x) * max_{j>k} m_j, linear in x, so the x
 that keep every m in reach form one integer interval and the others are cut
-(branch and bound).  best only decreases, so a cut vector cannot tie the
-final value either: the witnesses are those of the exhaustive search.
+(branch and bound).  The last two coordinates get no stack entries: a
+prefix of n-3 coordinates loops its next coordinate x in place, and for
+each x the second-to-last coordinate y gets its interval straight from the
+prefix's dot products.  The last coordinate takes the rest, so <w, m> is
+linear in y and that interval is exact; its leaves are evaluated in order,
+and need is refreshed after each improvement, so the vectors evaluated and
+their order are those of a stack that pushed every prefix.  In 2
+variables the same block runs on the root, with a zero coordinate x held
+at 0 in front.  best only decreases, so a cut vector cannot tie the final
+value either: the witnesses are those of the exhaustive search.
 
 A level is skipped before it pushes its root prefix when floor(level * t*)
 < need.  The dual certificate that NewtonDiagram.maximin checks is a point
 p = sum lam_m m of conv(gens) with p <= t*, so every w has the integer
 wf(w) <= <w, p> <= |w|_1 * t*.  Every leaf evaluated passed the exact
-interval of its last coordinate, so it has wf >= need: a skipped level
-would have evaluated none, and nodes is unchanged.  The skip rests on that
+interval of its second-to-last coordinate, so it has wf >= need: a skipped
+level would have evaluated none, and nodes is unchanged.  The skip rests on that
 certificate, not on _sandwich, which checks wf <= |w|_1 * t* only on the
 vectors evaluated: a t* below the optimum would skip levels holding ties.
 """
@@ -246,13 +254,24 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
             skip: frozenset) -> tuple[int, int, str]:
     """Offer to best each vector outside skip that the cut leaves, level by
     level up to the level bound or the cap; returns (bound, nodes, status).
-    A stack entry is a prefix: next coordinate k, head, its dot products with
-    the generators, rest of the level, gcd; entries pop in lexicographic order.
-    A level that the dual certificate rules out (module docstring) is skipped."""
+    A stack entry is a prefix of at most n-3 coordinates: next coordinate k,
+    head, its dot products with the generators, rest of the level, gcd;
+    entries pop in lexicographic order.  A popped prefix of n-3 coordinates
+    walks its next coordinate x in place and, per x, the exact interval of
+    the second-to-last coordinate y, the last taking the rest.  n = 2 walks
+    the same block, its generators given a zero first coordinate held at
+    x = 0 and left out of w.  A level that the dual certificate rules out
+    (module docstring) is skipped."""
     n = len(gens[0])
+    lead = n == 2
+    if lead:
+        gens, n = [(0,) + m for m in gens], 3
     cols = tuple(zip(*gens))
     # coefs[k][i]: (m_k - tail, tail), tail the largest entry of generator i after k
-    coefs = [[(m[k] - max(m[k + 1:]), max(m[k + 1:])) for m in gens] for k in range(n - 1)]
+    coefs = [[(m[k] - max(m[k + 1:]), max(m[k + 1:])) for m in gens] for k in range(n - 2)]
+    # <head + (x, y, rest - x - y), m> = q + x * e + y * a, q = <head, m> + rest * m_{n-1}
+    ends = [(m[-3] - m[-1], m[-2] - m[-1]) for m in gens]
+    zeros = (0,) * len(gens)
     nodes = 0
     limit = _search_limit(best, t, d)
     level = 2
@@ -262,11 +281,11 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
         # (level - 1) / wf ties or beats best iff wf >= need
         need = -(-(level - 1) * best.den // best.num)
         # every wf <= floor(level * t*) < need: no tie, no root prefix
-        stack = [(0, (), [0] * len(gens), level, 0)] if level * t // d >= need else []
+        stack = [(0, (), zeros, level, 0)] if level * t // d >= need else []
         while stack:
             k, head, partial, rest, g = stack.pop()
             # the x that keep every <w, m> >= need in reach form [lo, hi]
-            lo, hi = 0, rest
+            lo, hi = 0, 0 if lead else rest
             for p, (a, mt) in zip(partial, coefs[k]):
                 c = need - p - rest * mt
                 if a > 0:
@@ -278,22 +297,42 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
                     if x < hi:
                         hi = x
                 elif c > 0:
+                    hi = -1
                     break
-            else:
-                if lo > hi:
+            if lo > hi:
+                continue
+            if k < n - 3:
+                for x in range(hi, lo - 1, -1):
+                    dots = [p + x * mk for p, mk in zip(partial, cols[k])]
+                    stack.append((k + 1, head + (x,), dots, rest - x, math.gcd(g, x)))
+                continue
+            rows = [(p + rest * mz, e, a) for p, mz, (e, a) in zip(partial, cols[-1], ends)]
+            for x in range(lo, hi + 1):
+                # the last coordinate takes the rest, so the y interval is exact
+                ylo, yhi = 0, rest - x
+                for q, e, a in rows:
+                    c = need - q - x * e
+                    if a > 0:
+                        y = -(-c // a)
+                        if y > ylo:
+                            ylo = y
+                    elif a < 0:
+                        y = c // a
+                        if y < yhi:
+                            yhi = y
+                    elif c > 0:
+                        yhi = -1
+                        break
+                if ylo > yhi:
                     continue
-                if k < n - 2:
-                    for x in range(hi, lo - 1, -1):
-                        dots = [p + x * mk for p, mk in zip(partial, cols[k])]
-                        stack.append((k + 1, head + (x,), dots, rest - x, math.gcd(g, x)))
-                    continue
-                # the last coordinate takes the rest, so the interval is exact
-                for x in range(lo, hi + 1):
-                    w = head + (x, rest - x)
-                    if math.gcd(g, x, rest) != 1 or w in skip:
+                pre = head if lead else head + (x,)
+                gx = math.gcd(g, x)
+                for y in range(ylo, yhi + 1):
+                    w = pre + (y, rest - x - y)
+                    if math.gcd(gx, y, rest) != 1 or w in skip:
                         continue
                     nodes += 1
-                    wf = min(p + x * a + (rest - x) * b for p, a, b in zip(partial, cols[k], cols[-1]))
+                    wf = min([q + x * e + y * a for q, e, a in rows])
                     _sandwich(w, wf, t, d)
                     if wf >= need and best.offer(w, level - 1, wf):
                         need = -(-(level - 1) * best.den // best.num)

@@ -173,9 +173,11 @@ def _integer(digits: str, pos: int) -> int:
     return int(digits)
 
 
-def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict[str, int]]:
+def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, dict[str, int]]], dict[str, int]]:
     """Parse the polynomial grammar into (coefficient, exponents) terms and
-    the first position of each variable, in order of appearance.
+    the first position of each variable, in order of appearance.  A
+    coefficient carries the sign before its term; it is an int unless the
+    term writes a '/'.
 
     polynomial := ['+'|'-'] term (('+'|'-') term)*
     term       := coefficient ['*' factor ('*' factor)*] | factor ('*' factor)*
@@ -198,14 +200,15 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
 
     terms = []
     positions: dict[str, int] = {}
+    sign = -1 if tokens[0][1] == "-" else 1
     i = 1 if tokens[0][1] in ("+", "-") else 0
     while True:
         kind, val, pos = tokens[i]
         exponents: dict[str, int] = {}
         if kind == "name":
-            coeff, more = Fraction(1), True
+            coeff, more = sign, True
         elif kind == "num":
-            num, den = _integer(val, pos), 1
+            coeff = sign * _integer(val, pos)
             if tokens[i + 1][1] == "/":
                 kind, val, pos = tokens[i + 2]
                 if kind != "num":
@@ -213,8 +216,8 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
                 den = _integer(val, pos)
                 if den == 0:
                     raise ParseError("zero denominator in coefficient", pos)
+                coeff = Fraction(coeff, den)
                 i += 2
-            coeff = Fraction(num, den)
             kind, val, pos = tokens[i + 1]
             if kind in ("name", "num"):
                 raise ParseError("expected '*' between coefficient and factor", pos)
@@ -247,6 +250,7 @@ def _parse_terms(text: str) -> tuple[list[tuple[Fraction, dict[str, int]]], dict
             return terms, positions
         if val not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', found {val!r}", pos)
+        sign = -1 if val == "-" else 1
         i += 1
 
 
@@ -285,8 +289,10 @@ def _resolve_variables(positions: dict[str, int], variables: Sequence[str] | Non
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> SupportSet:
     """Parse polynomial text into the set of exponent vectors of its terms.
 
-    Coefficients are parsed and then discarded (terms with coefficient 0 are
-    dropped); thresholds depend only on the support.  With ``variables=None``
+    Each term's coefficient, with the sign before the term, is added to the
+    sum of its exponent vector; the vectors whose sum is nonzero are the
+    support, and the sums are then discarded: thresholds depend only on the
+    support.  So "x^2 - x^2 + y^3" has support {y^3}.  With ``variables=None``
     the ambient variable list is inferred: plain names draw from (x, y, z, w)
     with dimension 3 unless ``w`` occurs, and indexed names x1..x8 declare
     dimension max(index, 2).
@@ -295,14 +301,14 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
     vars_ = _resolve_variables(positions, variables)
     index = {name: i for i, name in enumerate(vars_)}
 
-    points = set()
+    sums: dict[ExponentVector, int | Fraction] = {}
     for coeff, exponents in terms:
-        if coeff == 0:
-            continue
         vec = [0] * len(vars_)
         for name, exp in exponents.items():
             vec[index[name]] = exp
-        points.add(tuple(vec))
+        point = tuple(vec)
+        sums[point] = sums.get(point, 0) + coeff
+    points = [point for point, total in sums.items() if total]
     if not points:
         raise ParseError("zero polynomial: no terms with nonzero coefficient")
     return SupportSet(dimension=len(vars_), points=frozenset(points))

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -85,6 +86,18 @@ def test_ct_over_long_integer_is_a_parse_error(capsys):
     assert code == 1
     assert out == ""
     assert err == "parse error: integer of 5000 digits is too long (position 2)\n"
+
+
+def test_ct_cancelling_terms_leave_the_support(capsys):
+    # x^2 - x^2 cancels: the polynomial is y^3 + z^5, value 1/3, not 1
+    code, cancelled, _ = run(capsys, "ct", "x^2-x^2+y^3+z^5", "--json")
+    assert code == 0
+    assert cancelled == run(capsys, "ct", "y^3+z^5", "--json")[1]
+    assert json.loads(cancelled)["value"] == {"num": 1, "den": 3}
+    code, out, err = run(capsys, "ct", "x-x")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: zero polynomial: no terms with nonzero coefficient\n"
 
 
 def test_ct_bound_exceeded_exits_3(capsys):
@@ -555,7 +568,8 @@ def test_parallel_workers_bounded_by_jobs_and_cpus(tmp_path, capsys, monkeypatch
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cli._map imports the pool from concurrent.futures when it builds one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     jobs = tmp_path / "jobs.jsonl"
     jobs.write_text('"x^3+y^7+z^11"\n"x^2+y^3+z^6"\n')
@@ -704,6 +718,18 @@ def test_readme_library_surface_block_runs():
     done = subprocess.run([sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --parallel builds a pool, so importing the CLI must not pay for
+    # concurrent.futures.process and multiprocessing
+    script = "import json, sys, thresholdkit.cli; print(json.dumps(sorted(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert not loaded & {"concurrent.futures.process", "multiprocessing"}
 
 
 def test_import_loads_only_the_standard_library():

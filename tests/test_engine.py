@@ -724,6 +724,38 @@ def test_oracle_drops_the_siblings_past_an_empty_polygon(monkeypatch):
     assert calls[0] <= 14000, calls[0]
 
 
+def _axes_and_points(rng, n):
+    """Axis powers 1-9 on about 70 % of the axes plus 1 to n+2 points in
+    [0, 4]^n, the origin left out."""
+    pts = [tuple(rng.randint(1, 9) if j == i else 0 for j in range(n))
+           for i in range(n) if rng.random() < 0.7]
+    pts += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+    return [p for p in pts if any(p)]
+
+
+def test_2_and_3_variable_thresholds_have_a_witness_with_a_coordinate_1():
+    # the paper's Brieskorn weights are (p, q, 1), and a divisorial
+    # contraction to a smooth 3-fold point is a weighted blow-up with weights
+    # (1, a, b) in suitable coordinates (Kawakita).  Conjecture: in at most 3
+    # variables every complete, unclamped report has a witness with a
+    # coordinate 1; in 4 it fails (x^4+y^10+z^5+w^3: 17/20, sole witness
+    # (5, 2, 4, 7)).  A failure here is an engine bug or a counterexample
+    rng = random.Random(2615)
+    samples = [from_points(pts, n) for n in (2, 3) for _ in range(600)
+               for pts in [_axes_and_points(rng, n)] if pts]
+    samples += [from_points([(a, 0, 0), (0, b, 0), (0, 0, c)], 3)
+                for a in range(2, 21) for b in range(a, 21) for c in range(b, 21)]
+    checked = {2: 0, 3: 0}
+    for d in samples:
+        report = ct_diagram(d, max_bound=300)
+        if report.status == "complete" and not report.clamped:
+            assert any(1 in w for w in report.witnesses), (d.generators, report)
+            checked[d.dimension] += 1
+    assert checked[2] >= 400 and checked[3] >= 1500, checked
+    four = ct_diagram(diagram("x^4+y^10+z^5+w^3"))
+    assert (four.value, four.witnesses) == (F(17, 20), ((5, 2, 4, 7),))
+
+
 def test_cut_keeps_search_work_small():
     # node counts are machine-independent; the exhaustive listing of every
     # composition took 80 729 and 24 432 nodes on the first two
@@ -758,6 +790,65 @@ def test_ct_reports_are_pinned():
         if json.dumps(report.to_json_dict()) != json.dumps(e["report"]):
             moved.append(f"{e['points']} at cap {e['max_bound']}: {report.to_json_dict()}")
     assert moved == []
+
+
+def _stack_search(best, gens, t, d, cap, skip):
+    """The level search with a stack entry for every prefix down to n-2
+    coordinates, each leaf's wf from scratch: the reference for _search,
+    which walks the last two coordinates in place."""
+    n = len(gens[0])
+    cols = tuple(zip(*gens))
+    coefs = [[(m[k] - max(m[k + 1:]), max(m[k + 1:])) for m in gens] for k in range(n - 1)]
+    nodes = 0
+    limit = engine_module._search_limit(best, t, d)
+    level = 2
+    while limit is None or level <= limit:
+        if level > cap:
+            return cap, nodes, "bound-exceeded"
+        need = -(-(level - 1) * best.den // best.num)
+        stack = [(0, (), [0] * len(gens), level, 0)] if level * t // d >= need else []
+        while stack:
+            k, head, partial, rest, g = stack.pop()
+            lo, hi = 0, rest
+            for p, (a, mt) in zip(partial, coefs[k]):
+                c = need - p - rest * mt
+                if a > 0:
+                    lo = max(lo, -(-c // a))
+                elif a < 0:
+                    hi = min(hi, c // a)
+                elif c > 0:
+                    hi = -1
+            if k < n - 2:
+                stack += [(k + 1, head + (x,), [p + x * mk for p, mk in zip(partial, cols[k])],
+                           rest - x, math.gcd(g, x)) for x in range(hi, lo - 1, -1)]
+                continue
+            for x in range(lo, hi + 1):
+                w = head + (x, rest - x)
+                if math.gcd(*w) != 1 or w in skip:
+                    continue
+                nodes += 1
+                wf = engine_module._least_degree(gens, w)
+                if wf >= need and best.offer(w, level - 1, wf):
+                    need = -(-(level - 1) * best.den // best.num)
+                    limit = engine_module._search_limit(best, t, d)
+        level += 1
+    return limit, nodes, "complete"
+
+
+def test_inline_walk_evaluates_what_a_full_stack_does(monkeypatch):
+    # the whole report, nodes included, against a stack that pushes every
+    # prefix.  In the first diagrams the best value improves in the middle
+    # of a prefix's x walk, so a y interval built from a stale need would
+    # evaluate one vector more
+    rng = random.Random(2626)
+    samples = [from_points([(0, 1, 2), (2, 0, 5)], 3), from_points([(0, 0, 7), (2, 4, 2)], 3),
+               from_points([(0, 0, 0, 9), (0, 0, 4, 0), (0, 5, 3, 0), (10, 0, 0, 0)], 4)]
+    samples += [from_points(pts, n) for n in (2, 3, 3, 4, 5) for _ in range(200)
+                for pts in [_axes_and_points(rng, n)] if pts]
+    inline = [ct_diagram(d, max_bound=100).to_json_dict() for d in samples]
+    assert [r["nodes"] for r in inline[:3]] == [2, 3, 4]
+    monkeypatch.setattr(engine_module, "_search", _stack_search)
+    assert [ct_diagram(d, max_bound=100).to_json_dict() for d in samples] == inline
 
 
 def test_seed_sandwich_catches_suboptimal_lp(monkeypatch):

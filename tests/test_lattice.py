@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import thresholdkit
 from thresholdkit.engine import _ray_seed
+from thresholdkit.lattice import _parse_terms
 from thresholdkit.newton import _minimal_elements
 from thresholdkit import (
     DimensionMismatchError,
@@ -155,6 +156,26 @@ def test_parse_zero_coefficient_term_dropped():
 def test_parse_zero_polynomial_rejected():
     with pytest.raises(ParseError):
         parse_polynomial("0*x")
+
+
+def test_parse_sums_signed_coefficients_per_exponent_vector():
+    # the sign before a term counts, like terms add up and a zero sum drops
+    # its exponent vector
+    assert parse_polynomial("x^2-x^2+y^3+z^5").points == {(0, 3, 0), (0, 0, 5)}
+    assert parse_polynomial("x*y - y*x + z").points == {(0, 0, 1)}
+    assert parse_polynomial("-2*x + 2*x + y").points == {(0, 1, 0)}
+    assert parse_polynomial("x^2 - 1/3*x^2 - 2/3*x^2 + y").points == {(0, 1, 0)}
+    assert parse_polynomial("x + x - x + y").points == {(1, 0, 0), (0, 1, 0)}
+    assert parse_polynomial("-x").points == {(1, 0, 0)}
+    for text in ("x-x", "-x+x", "1/2*x^2 - 2/4*x^2", "3 - 1 - 2"):
+        with pytest.raises(ParseError, match="zero polynomial"):
+            parse_polynomial(text)
+
+
+def test_parse_keeps_int_coefficients_without_a_slash():
+    terms, _ = _parse_terms("x - 2*y + 3/4*z - 6/3*w")
+    assert [(type(c), c) for c, _ in terms] == [
+        (int, 1), (int, -2), (Fraction, Fraction(3, 4)), (Fraction, Fraction(-2))]
 
 
 def test_parse_repeated_factor_accumulates():
@@ -342,8 +363,9 @@ def test_digit_limit_does_not_follow_the_interpreter():
         sys.set_int_max_str_digits(old)
 
 
-# The recursive-descent parser that preceded the flat one, kept verbatim as
-# the reference for the equivalence test below.
+# The recursive-descent parser that preceded the flat one, kept as the
+# reference for the equivalence test below; it applies the sign before each
+# term, and _reference_parse sums the coefficients per exponent vector.
 _REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^/]))")
 
 
@@ -382,25 +404,27 @@ class _ReferenceParser:
         if not self.tokens:
             raise ParseError("empty polynomial", 0)
         terms = []
+        sign = 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.take()
-        terms.append(self.term())
+            sign = -1 if val == "-" else 1
+        terms.append(self.term(sign))
         while self.idx < len(self.tokens):
             kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                terms.append(self.term())
+                terms.append(self.term(-1 if val == "-" else 1))
             else:
                 raise ParseError(f"expected '+' or '-', found {val!r}", pos)
         return terms
 
-    def term(self):
+    def term(self, sign):
         kind, val, pos = self.peek()
-        coeff = Fraction(1)
+        coeff = Fraction(sign)
         exponents = {}
         if kind == "num":
-            coeff = self.coefficient()
+            coeff = sign * self.coefficient()
             kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.take()
@@ -498,14 +522,13 @@ def _reference_parse(text, variables=None):
     names_in_order = sorted(parser.positions.items(), key=lambda kv: kv[1])
     vars_ = _reference_resolve_variables(names_in_order, variables)
     index = {name: i for i, name in enumerate(vars_)}
-    points = set()
+    sums = {}
     for coeff, exponents in terms:
-        if coeff == 0:
-            continue
         vec = [0] * len(vars_)
         for name, exp in exponents.items():
             vec[index[name]] = exp
-        points.add(tuple(vec))
+        sums[tuple(vec)] = sums.get(tuple(vec), 0) + coeff
+    points = {point for point, total in sums.items() if total != 0}
     if not points:
         raise ParseError("zero polynomial: no terms with nonzero coefficient")
     return SupportSet(dimension=len(vars_), points=frozenset(points))
