@@ -7,12 +7,12 @@ maximin of <u, m> over probability directions u, solved by
 ``_solve_maximin`` for NewtonDiagram.maximin, which passes it a diagram's
 checked generators and certifies its answer.  It is a single-phase simplex
 from the slack basis, feasible once u_1 is eliminated through sum(u) = 1.
-Its condensed tableau keeps a row per basic and a labelled column per
-nonbasic variable, never the unit columns of the basic ones; entries are
-integers over one common positive denominator, updated by fraction-free
-(Bareiss) pivoting.  Bland's rule (entering: lowest variable with positive
-reduced cost; leaving: lowest basis variable among minimal ratios) makes it
-terminate and reach the same optimal vertex on every run and platform.
+Its condensed tableau is kept by columns, one per nonbasic variable and the
+right-hand side, each ending in its reduced cost; entries are integers over
+one common positive denominator, updated by fraction-free (Bareiss) pivoting
+with one exactness check per pivot.  Bland's rule (entering: lowest variable
+with positive reduced cost; leaving: lowest basis variable among minimal
+ratios) makes it terminate and reach the same optimal vertex on every run.
 Problems are tiny (dimension <= 8, a few hundred generators): no sparsity.
 """
 
@@ -342,51 +342,50 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _eliminate(row: list[int], pivot_row: list[int], col: int, p: int, d: int, pivot_sum: int) -> list[int]:
-    """Update a row off the pivot row: (p*row - f*pivot_row) / d, f = row[col],
-    for a pivot p over denominator d > 0 (pivot_sum: sum(pivot_row)), then -f
-    in column col, which the leaving variable takes.  Exact, as every entry
-    is a signed minor of the first tableau."""
-    f = row[col]
-    if f == 0 and p == d:
-        return row
-    new = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
-    # the floor remainders are >= 0, so all of them are 0 iff their sum is
-    if p * sum(row) - f * pivot_sum != d * sum(new):
-        raise AssertionError(f"inexact fraction-free division by {d}")
-    new[col] = -f
-    return new
-
-
-def _bland_simplex(rows: list[list[int]], cost: list[int], basis: list[int],
-                   labels: list[int], d: int, face: set[int] | None = None) -> int:
+def _bland_simplex(cols: list[list[int]], basis: list[int], labels: list[int],
+                   d: int, face: set[int] | None = None) -> int:
     """Maximize in place over the nonbasic variables (default: all, else
-    those in face) and return the final denominator.  Column j holds the
-    nonbasic variable labels[j], row i the basic variable basis[i]; cost[j]
-    are reduced costs, cost[-1] is -(objective), all over d > 0."""
+    those in face) and return the final denominator.  cols[j] holds the
+    nonbasic variable labels[j], its entry i the basic variable basis[i] and
+    its last entry the reduced cost; the last column is the right-hand side,
+    ending in -(objective).  All entries are over d > 0."""
     while True:
-        enter = min((j for j, c in enumerate(cost[:-1]) if c > 0 and (face is None or labels[j] in face)),
-                    key=labels.__getitem__, default=None)
+        enter = None
+        for j, col in enumerate(cols[:-1]):
+            if col[-1] > 0 and (face is None or labels[j] in face) and (enter is None
+                                                                      or labels[j] < labels[enter]):
+                enter = j
         if enter is None:
             return d
         # ratio test by cross-multiplying; ties go to the lowest basis index
-        leave = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0 and (leave is None or (row[-1] * rows[leave][enter], basis[i])
-                                   < (rows[leave][-1] * row[enter], basis[leave])):
-                leave = i
+        ecol, rhs, leave = cols[enter], cols[-1], None
+        for i, f in enumerate(ecol[:-1]):
+            if f > 0 and (leave is None or rhs[i] * lf < lr * f
+                          or rhs[i] * lf == lr * f and basis[i] < basis[leave]):
+                leave, lf, lr = i, f, rhs[i]
         if leave is None:
             raise AssertionError("unbounded LP; every maximin objective is bounded")
-        prow, p = rows[leave], rows[leave][enter]
-        s = sum(prow)
-        rows[:] = [row if i == leave else _eliminate(row, prow, enter, p, d, s) for i, row in enumerate(rows)]
-        cost[:] = _eliminate(cost, prow, enter, p, d, s)
-        prow[enter] = d  # the pivot row keeps its other entries
+        # each other column becomes (p*col - pj*ecol) / d, keeping pj in row
+        # leave; exact, as every entry is a signed minor of the first tableau
+        p, es, rem = ecol[leave], sum(ecol), 0
+        for j, col in enumerate(cols):
+            pj = col[leave]
+            if j != enter and (pj or p != d):
+                new = [(p * x - pj * f) // d for x, f in zip(col, ecol)]
+                rem += p * sum(col) - pj * es - d * sum(new)
+                new[leave] = pj
+                cols[j] = new
+        # the floor remainders are >= 0, so all of them are 0 iff their sum is
+        if rem:
+            raise AssertionError(f"inexact fraction-free division by {d}")
+        cols[enter] = [-f for f in ecol]  # the leaving variable's column
+        cols[enter][leave] = d
         labels[enter], basis[leave] = basis[leave], labels[enter]
         d = p
 
 
-def _solve_maximin(gens: Sequence[ExponentVector], n: int) -> tuple[list[int], int, list[int], int]:
+def _solve_maximin(gens: Sequence[ExponentVector], n: int,
+                   first_vertex: bool = False) -> tuple[list[int], int, list[int], int]:
     """Maximize t over probability directions u with <u, m> >= t for every m.
 
     Returns (u, t, lam, d): u and t over the denominator d > 0, and the
@@ -396,31 +395,34 @@ def _solve_maximin(gens: Sequence[ExponentVector], n: int) -> tuple[list[int], i
     sum_{j>=2} u_j + u_1 = 1.  Every right-hand side is >= 0, so the slack
     basis {u_1, s_m} is feasible and one phase of Bland's rule suffices.
     Variables, in Bland's order: u_2..u_n, t, u_1, s_m in generator order.
-    Condensed tableau: a row per basic variable (basis), a column per
-    nonbasic one (labels), rhs last; no unit columns are stored.
+    Condensed tableau by columns: one per nonbasic variable (labels), the rhs
+    last, each with a row per basic one (basis) and its reduced cost last.
 
     If the optimum is an axis e_j, a second objective minimizes u_j over the
     optimal face (the variables with zero reduced cost), and the midpoint of
     the two vertices is returned when they differ: it attains t on the same
-    face and keeps the multipliers, so its ray is not an axis.
+    face and keeps the multipliers, so its ray is not an axis.  first_vertex
+    skips that step, for callers that read only t and d.
     """
-    rows = [[1] * (n - 1) + [0, 1]] + [[m[0] - mj for mj in m[1:]] + [1, m[0]] for m in gens]
-    basis, labels = list(range(n, n + len(rows))), list(range(n))
-    cost = [0] * (n - 1) + [1, 0]  # maximize t
-    d = _bland_simplex(rows, cost, basis, labels, 1)
+    x1, *xs = zip(*gens)
+    cols = [[1, *(a - b for a, b in zip(x1, xj)), 0] for xj in xs]
+    cols += [[0, *[1] * len(gens), 1], [1, *x1, 0]]  # t, whose reduced cost 1 maximizes it; rhs
+    basis, labels = list(range(n, n + 1 + len(gens))), list(range(n))
+    d = _bland_simplex(cols, basis, labels, 1)
 
     def direction() -> list[int]:
-        x = dict(zip(basis, (row[-1] for row in rows)))
+        x = dict(zip(basis, cols[-1]))
         return [x.get(n, 0)] + [x.get(j, 0) for j in range(n - 1)]
 
-    reduced = dict(zip(labels, cost))
-    u, t, lam = direction(), -cost[-1], [-reduced.get(n + 1 + i, 0) for i in range(len(gens))]
-    if u.count(0) == n - 1:
+    reduced = dict(zip(labels, (col[-1] for col in cols)))
+    u, t, lam = direction(), -cols[-1][-1], [-reduced.get(n + 1 + i, 0) for i in range(len(gens))]
+    if not first_vertex and u.count(0) == n - 1:
         a = next(i for i, ui in enumerate(u) if ui)
         # maximize -u_a over the face from the current basis: its costs are the row of u_a
         face = {*basis, *(v for v, c in reduced.items() if c == 0)}
-        cost = list(rows[basis.index(n if a == 0 else a - 1)])
-        d2 = _bland_simplex(rows, cost, basis, labels, d, face)
+        r = basis.index(n if a == 0 else a - 1)
+        cols[:] = [[*col[:-1], col[r]] for col in cols]
+        d2 = _bland_simplex(cols, basis, labels, d, face)
         v = direction()
         if v[a] != d2:
             u = [x * d2 + y * d for x, y in zip(u, v)]

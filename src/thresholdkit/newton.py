@@ -65,16 +65,15 @@ class MaximinSolution:
         return Fraction(self.t, self.d)
 
 
-def _certified_maximin(gens: Sequence[ExponentVector], n: int) -> MaximinSolution:
-    """The kernel's vertex on reduced, sorted generators, both certificates checked."""
-    u, t, lam, d = _solve_maximin(gens, n)
+def _certified_maximin(gens: Sequence[ExponentVector], n: int, first_vertex: bool = False) -> MaximinSolution:
+    """The kernel's vertex on reduced, sorted generators, both certificates
+    checked; first_vertex takes the first optimal vertex, without the axis step."""
+    u, t, lam, d = _solve_maximin(gens, n, first_vertex)
     # over d: u is a probability direction whose least weight is t, and the
     # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
-    weights = [sum(ui * mi for ui, mi in zip(u, m)) for m in gens]
-    if not (sum(u) == d > 0 and all(ui >= 0 for ui in u) and min(weights) == t):
+    if not (sum(u) == d > 0 and min(u) >= 0 and min(sum(map(operator.mul, u, m)) for m in gens) == t):
         raise AssertionError(f"simplex returned an invalid maximin vertex {u} / {d}, t = {t} / {d}")
-    p = [sum(q * m[i] for q, m in zip(lam, gens)) for i in range(n)]
-    if not (all(q >= 0 for q in lam) and sum(lam) == d and max(p) <= t):
+    if not (min(lam) >= 0 and sum(lam) == d and max(sum(map(operator.mul, lam, c)) for c in zip(*gens)) <= t):
         raise AssertionError(f"simplex returned an invalid dual certificate {lam} / {d}, t = {t} / {d}")
     return MaximinSolution(tuple(u), t, d)
 
@@ -155,8 +154,9 @@ def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> b
     qp = [int(q * x) for x in p]
     c = max(0, *qp)
     shifted = [tuple(q * mi - x + c for mi, x in zip(m, qp)) for m in diagram.generators]
-    # a scaled translate of reduced, sorted generators is reduced and sorted
-    sol = _certified_maximin(shifted, diagram.dimension)
+    # a scaled translate of reduced, sorted generators is reduced and sorted;
+    # membership reads only t and d, so the first optimal vertex serves
+    sol = _certified_maximin(shifted, diagram.dimension, first_vertex=True)
     return sol.t <= c * sol.d
 
 

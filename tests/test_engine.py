@@ -999,9 +999,9 @@ def _counting_lp(monkeypatch):
     real = newton_module._solve_maximin
     calls = []
 
-    def counted(gens, n):
+    def counted(gens, n, *rest):
         calls.append(gens)
-        return real(gens, n)
+        return real(gens, n, *rest)
 
     monkeypatch.setattr(newton_module, "_solve_maximin", counted)
     return calls

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -29,6 +30,7 @@ from thresholdkit import (
     SupportSet,
     contains_point,
     from_points,
+    includes,
     maximin_lp,
     parse_polynomial,
     primitive,
@@ -991,6 +993,132 @@ def test_maximin_kernel_output_is_pinned():
     assert thresholdkit.lattice._solve_maximin(gens, 4) == ([4, 1, 0, 3], 24, [8, 0, 0, 0], 8)
 
 
+def _row_eliminate(row, pivot_row, col, p, d):
+    """(p*row - f*pivot_row) / d for f = row[col], then -f in column col."""
+    f = row[col]
+    if f == 0 and p == d:
+        return row
+    new = [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    assert p * sum(row) - f * sum(pivot_row) == d * sum(new)
+    new[col] = -f
+    return new
+
+
+def _row_bland_simplex(rows, cost, basis, labels, d, face=None):
+    """lattice._bland_simplex on the condensed tableau kept by rows, with the
+    reduced costs in a row of their own."""
+    while True:
+        enter = min((j for j, c in enumerate(cost[:-1]) if c > 0 and (face is None or labels[j] in face)),
+                    key=labels.__getitem__, default=None)
+        if enter is None:
+            return d
+        leave = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0 and (leave is None or (row[-1] * rows[leave][enter], basis[i])
+                                   < (rows[leave][-1] * row[enter], basis[leave])):
+                leave = i
+        assert leave is not None
+        prow, p = rows[leave], rows[leave][enter]
+        rows[:] = [row if i == leave else _row_eliminate(row, prow, enter, p, d) for i, row in enumerate(rows)]
+        cost[:] = _row_eliminate(cost, prow, enter, p, d)
+        prow[enter] = d
+        labels[enter], basis[leave] = basis[leave], labels[enter]
+        d = p
+
+
+def _row_solve_maximin(gens, n, axis_steps=None):
+    """The reference for lattice._solve_maximin: the same pivots on a tableau
+    kept by rows.  Appends 1 to axis_steps, if given, when the second
+    objective runs."""
+    rows = [[1] * (n - 1) + [0, 1]] + [[m[0] - mj for mj in m[1:]] + [1, m[0]] for m in gens]
+    basis, labels = list(range(n, n + len(rows))), list(range(n))
+    cost = [0] * (n - 1) + [1, 0]
+    d = _row_bland_simplex(rows, cost, basis, labels, 1)
+
+    def direction():
+        x = dict(zip(basis, (row[-1] for row in rows)))
+        return [x.get(n, 0)] + [x.get(j, 0) for j in range(n - 1)]
+
+    reduced = dict(zip(labels, cost))
+    u, t, lam = direction(), -cost[-1], [-reduced.get(n + 1 + i, 0) for i in range(len(gens))]
+    if u.count(0) == n - 1:
+        if axis_steps is not None:
+            axis_steps.append(1)
+        a = next(i for i, ui in enumerate(u) if ui)
+        face = {*basis, *(v for v, c in reduced.items() if c == 0)}
+        cost = list(rows[basis.index(n if a == 0 else a - 1)])
+        d2 = _row_bland_simplex(rows, cost, basis, labels, d, face)
+        v = direction()
+        if v[a] != d2:
+            u = [x * d2 + y * d for x, y in zip(u, v)]
+            t, lam, d = 2 * d2 * t, [2 * d2 * q for q in lam], 2 * d * d2
+    return u, t, lam, d
+
+
+def test_column_kernel_matches_row_reference():
+    # seeded random diagrams in 2 to 8 variables with 1 to 200 generators,
+    # every fourth with one coordinate lifted on all points so that the axis
+    # step runs; the column kernel must return the row kernel's integers.
+    # Time-boxed to about a second.
+    rng = random.Random(2727)
+    start, cases, axis_steps, midpoints = time.perf_counter(), 0, [], 0
+    while time.perf_counter() - start < 1.0 or cases < 100:
+        n = rng.randint(2, 8)
+        k = rng.randint(50, 200) if cases % 6 == 5 else rng.randint(1, 16)
+        pts = [[rng.randint(0, 9) for _ in range(n)] for _ in range(k)]
+        if cases % 4 == 3:
+            lift, by = rng.randrange(n), rng.randint(6, 12)
+            for pt in pts:
+                pt[lift] += by
+        gens = sorted({tuple(pt) for pt in pts})
+        steps = len(axis_steps)
+        expected = _row_solve_maximin(gens, n, axis_steps)
+        assert thresholdkit.lattice._solve_maximin(gens, n) == expected, (n, gens)
+        # the axis step ended at a midpoint off the axis
+        midpoints += len(axis_steps) > steps and expected[0].count(0) < n - 1
+        cases += 1
+    assert len(axis_steps) >= 20 and midpoints >= 2, (cases, len(axis_steps), midpoints)
+
+
+def test_membership_skips_the_axis_step(monkeypatch):
+    # contains_point and includes read only t and d, so the second objective
+    # never runs for them; on seeded random rational queries in 2 to 5
+    # variables membership equals the row kernel's answer with its axis step
+    real, second = thresholdkit.lattice._bland_simplex, []
+
+    def counted(cols, basis, labels, d, face=None):
+        second.append(face is not None)
+        return real(cols, basis, labels, d, face)
+
+    monkeypatch.setattr(thresholdkit.lattice, "_bland_simplex", counted)
+    axis_steps = []
+
+    def expected(diagram, point):
+        q = math.lcm(*(x.denominator for x in point))
+        qp = [int(q * x) for x in point]
+        c = max(0, *qp)
+        shifted = [tuple(q * mi - x + c for mi, x in zip(m, qp)) for m in diagram.generators]
+        _, t, _, d = _row_solve_maximin(shifted, diagram.dimension, axis_steps)
+        return t <= c * d
+
+    rng = random.Random(2728)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        diagram = from_points({tuple(rng.randint(0, 7) for _ in range(n)) for _ in range(rng.randint(1, 6))}, n)
+        point = tuple(F(rng.randint(0, 24), rng.randint(1, 4)) for _ in range(n))
+        got = contains_point(diagram, point)
+        assert got == expected(diagram, point), (diagram, point)
+        seen[got] += 1
+        small = from_points({tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 3))}, n)
+        assert includes(diagram, small) == all(expected(diagram, g) for g in small.generators)
+    assert min(seen.values()) >= 500
+    assert len(axis_steps) >= 1000 and len(second) >= 2000 and not any(second)
+    # the counter sees the axis step where it runs
+    maximin_lp([(0, 1, 6), (1, 0, 5)], 3)
+    assert second[-2:] == [False, True]
+
+
 _CORRUPT_VERTEX = """
 import thresholdkit
 import thresholdkit.newton as newton
@@ -1062,16 +1190,19 @@ import thresholdkit.lattice as lattice
 
 assert False, "this script must run under python -O"
 # pivot 2 over denominator 3: (2*[1, 1] - 1*[2, 1]) / 3 = [0, 1/3] is not
-# integral, so the update must raise rather than round
-try:
-    lattice._eliminate([1, 1], [2, 1], 0, 2, 3, 3)
-except AssertionError:
-    print("rejected")
+# integral, so the update must raise rather than round.  Each column ends in
+# its reduced cost, the rhs column last; the entering column is [2, 1], and
+# the inexact entry lies once in the rhs column, once in a nonbasic column.
+for cols, labels in [([[2, 1], [1, 1]], [0]), ([[1, 1], [2, 1], [0, 0]], [1, 0])]:
+    try:
+        lattice._bland_simplex(cols, [5], labels, 3)
+    except AssertionError:
+        print("rejected")
 """
 
 
 def test_fraction_free_update_rejects_inexact_division_under_optimize():
-    assert _run_optimized(_INEXACT_DIVISION) == "rejected"
+    assert _run_optimized(_INEXACT_DIVISION).split() == ["rejected", "rejected"]
 
 
 def test_no_assert_statement_in_package():
