@@ -75,13 +75,9 @@ def chart_transform(support: SupportSet, weights, chart: int) -> SupportSet:
     """
     w = check_admissible_weight(weights, support.dimension)
     i = _chart_index(w, chart)
-    wf = _least_degree(support.points, w)
-    transformed = set()
-    for m in support.points:
-        excess_exponent = sum(wi * mi for wi, mi in zip(w, m)) - wf
-        new = list(m)
-        new[i] = excess_exponent
-        transformed.add(tuple(new))
+    degrees = {m: sum(wi * mi for wi, mi in zip(w, m)) for m in support.points}
+    wf = min(degrees.values())
+    transformed = {(*m[:i], degree - wf, *m[i + 1:]) for m, degree in degrees.items()}
     return SupportSet(dimension=support.dimension, points=frozenset(transformed))
 
 

@@ -139,7 +139,7 @@ def ct_brieskorn3(triple: BrieskornTriple) -> BrieskornResult:
         case = CASE_S3
         weight = (_ceildiv(c, a), _ceildiv(c, b), 1)
     if value >= 1:
-        return BrieskornResult(value=Fraction(1), case=CASE_CLAMP, weight=weight, s_values=sv)
+        value, case = Fraction(1), CASE_CLAMP
     return BrieskornResult(value=value, case=case, weight=weight, s_values=sv)
 
 

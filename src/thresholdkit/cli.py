@@ -12,9 +12,9 @@ num/den object (fraction_to_json) and is byte-stable across runs.
 
 Exit codes: 0 success / certification holds, 1 parse error or bad
 arguments (including an option the subcommand does not take or would
-ignore, and a search cap below 2), 2 unit at the origin, 3 search bound
-exceeded (for sweep: some triple's engine search, with no violation), 4
-assertion or verification failure.
+ignore, a search cap below 2, and a batch line in error), 2 unit at the
+origin, 3 search bound exceeded (sweep: by a triple, with no violation;
+batch: by a line, with none in error), 4 assertion or verification failure.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ ENV_MAX_BOUND = "THRESHOLDKIT_MAX_BOUND"
 
 SWEEP_COLUMNS = ["a", "b", "c", "ct_num", "ct_den", "case",
                  "w1", "w2", "w3", "lct_num", "lct_den", "agrees"]
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on bad input by default; the contract here is 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
 
 
 def _resolve_max_bound(args) -> int | None:
@@ -118,9 +109,7 @@ def _map(fn, jobs: list, parallel: int | None, chunksize: int = 1) -> list:
         return list(pool.map(fn, jobs, chunksize=chunksize))
 
 
-def _split_vars(names: str | None) -> tuple[str, ...] | None:
-    if names is None:
-        return None
+def _split_vars(names: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in names.split(",") if name.strip())
 
 
@@ -131,7 +120,7 @@ def _split_vars(names: str | None) -> tuple[str, ...] | None:
 def _cmd_ct(args) -> int:
     if args.brute is not None and args.max_bound is not None:
         raise ValueError("--max-bound does not apply with --brute, whose cap bounds the box")
-    diagram = _load_diagram(args.input, _split_vars(args.vars))
+    diagram = _load_diagram(args.input, args.vars)
     if args.brute is not None:
         report = ct_bruteforce(diagram, args.brute)
     else:
@@ -144,7 +133,7 @@ def _cmd_ct(args) -> int:
 
 
 def _cmd_lct(args) -> int:
-    diagram = _load_diagram(args.input, _split_vars(args.vars))
+    diagram = _load_diagram(args.input, args.vars)
     value = lct_diagram(diagram)
     if args.json:
         print(json.dumps({"value": fraction_to_json(value)}))
@@ -350,8 +339,9 @@ def _cmd_batch(args) -> int:
             raise
     else:
         sys.stdout.write(payload)
-    failed = any("error" in r for r in results)
-    return EXIT_PARSE if failed else EXIT_OK
+    if any("error" in r for r in results):
+        return EXIT_PARSE
+    return EXIT_BOUND if any(r["status"] != STATUS_COMPLETE for r in results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +356,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _cmd_verify(args) -> int:
-    diagram = _load_diagram(args.input, _split_vars(args.vars))
+    diagram = _load_diagram(args.input, args.vars)
     c = _parse_fraction(args.threshold)
     cert = certify(diagram, c, max_bound=_resolve_max_bound(args))
     if args.json:
@@ -409,7 +399,7 @@ _OPTIONS = {
                              f"or ${ENV_MAX_BOUND})"),
     "--parallel": dict(type=_positive_int, default=None, metavar="N",
                        help="at most N worker processes, one per job and per CPU"),
-    "--vars": dict(default=None, help="comma-separated variable names, e.g. x,y"),
+    "--vars": dict(type=_split_vars, default=None, help="comma-separated variable names, e.g. x,y"),
 }
 
 
@@ -419,7 +409,7 @@ def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="thresholdkit")
+    parser = argparse.ArgumentParser(prog="thresholdkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ct = sub.add_parser("ct", help="threshold of a polynomial or diagram file")
@@ -467,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ParseError as exc:

@@ -12,7 +12,8 @@ right-hand side, each ending in its reduced cost; entries are integers over
 one common positive denominator, updated by fraction-free (Bareiss) pivoting
 with one exactness check per pivot.  Bland's rule (entering: lowest variable
 with positive reduced cost; leaving: lowest basis variable among minimal
-ratios) makes it terminate and reach the same optimal vertex on every run.
+ratios) makes it terminate and reach the same optimal vertex on every run;
+a pivot back to a basis already left raises, so a faulty rule cannot cycle.
 Problems are tiny (dimension <= 8, a few hundred generators): no sparsity.
 """
 
@@ -348,7 +349,10 @@ def _bland_simplex(cols: list[list[int]], basis: list[int], labels: list[int],
     those in face) and return the final denominator.  cols[j] holds the
     nonbasic variable labels[j], its entry i the basic variable basis[i] and
     its last entry the reduced cost; the last column is the right-hand side,
-    ending in -(objective).  All entries are over d > 0."""
+    ending in -(objective).  All entries are over d > 0.  Bland's rule never
+    returns to a basis, so one seen again (key: the labels that changed sides
+    an odd number of times) raises, and a faulty rule fails instead of cycling."""
+    seen, key = {0}, 0
     while True:
         enter = None
         for j, col in enumerate(cols[:-1]):
@@ -380,16 +384,20 @@ def _bland_simplex(cols: list[list[int]], basis: list[int], labels: list[int],
             raise AssertionError(f"inexact fraction-free division by {d}")
         cols[enter] = [-f for f in ecol]  # the leaving variable's column
         cols[enter][leave] = d
+        key ^= 1 << labels[enter] | 1 << basis[leave]
+        if key in seen:
+            raise AssertionError("simplex returned to a basis it left")
+        seen.add(key)
         labels[enter], basis[leave] = basis[leave], labels[enter]
         d = p
 
 
-def _solve_maximin(gens: Sequence[ExponentVector], n: int,
+def _solve_maximin(gens: Sequence[ExponentVector],
                    first_vertex: bool = False) -> tuple[list[int], int, list[int], int]:
     """Maximize t over probability directions u with <u, m> >= t for every m.
 
-    Returns (u, t, lam, d): u and t over the denominator d > 0, and the
-    multipliers lam_m over d, the negated reduced costs of the slacks s_m.
+    Returns (u, t, lam, d): u, of length n = len(m), and t over d > 0, and
+    the multipliers lam_m over d, the negated reduced costs of the slacks s_m.
     Eliminating u_1 = 1 - sum_{j>=2} u_j turns each generator into the row
     sum_{j>=2} (m_1 - m_j) u_j + t + s_m = m_1, and u_1 >= 0 into the row
     sum_{j>=2} u_j + u_1 = 1.  Every right-hand side is >= 0, so the slack
@@ -404,6 +412,7 @@ def _solve_maximin(gens: Sequence[ExponentVector], n: int,
     face and keeps the multipliers, so its ray is not an axis.  first_vertex
     skips that step, for callers that read only t and d.
     """
+    n = len(gens[0])
     x1, *xs = zip(*gens)
     cols = [[1, *(a - b for a, b in zip(x1, xj)), 0] for xj in xs]
     cols += [[0, *[1] * len(gens), 1], [1, *x1, 0]]  # t, whose reduced cost 1 maximizes it; rhs

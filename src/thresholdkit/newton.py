@@ -65,10 +65,10 @@ class MaximinSolution:
         return Fraction(self.t, self.d)
 
 
-def _certified_maximin(gens: Sequence[ExponentVector], n: int, first_vertex: bool = False) -> MaximinSolution:
+def _certified_maximin(gens: Sequence[ExponentVector], first_vertex: bool = False) -> MaximinSolution:
     """The kernel's vertex on reduced, sorted generators, both certificates
     checked; first_vertex takes the first optimal vertex, without the axis step."""
-    u, t, lam, d = _solve_maximin(gens, n, first_vertex)
+    u, t, lam, d = _solve_maximin(gens, first_vertex)
     # over d: u is a probability direction whose least weight is t, and the
     # duals lam give p = sum lam_m m in conv(gens) with p <= t, so no u beats t
     if not (sum(u) == d > 0 and min(u) >= 0 and min(sum(map(operator.mul, u, m)) for m in gens) == t):
@@ -104,7 +104,7 @@ class NewtonDiagram:
         (outside its fields, so equality, hash and repr do not see it).  It
         depends on the generators alone, so copies and pickles may carry it;
         sorted generators and Bland's rule fix the vertex it reports."""
-        return _certified_maximin(self.generators, self.dimension)
+        return _certified_maximin(self.generators)
 
 
 def maximin_lp(generators: Iterable[ExponentVector], n: int) -> MaximinSolution:
@@ -156,7 +156,7 @@ def contains_point(diagram: NewtonDiagram, point: Sequence[Fraction | int]) -> b
     shifted = [tuple(q * mi - x + c for mi, x in zip(m, qp)) for m in diagram.generators]
     # a scaled translate of reduced, sorted generators is reduced and sorted;
     # membership reads only t and d, so the first optimal vertex serves
-    sol = _certified_maximin(shifted, diagram.dimension, first_vertex=True)
+    sol = _certified_maximin(shifted, first_vertex=True)
     return sol.t <= c * sol.d
 
 

@@ -550,6 +550,21 @@ def test_batch_parallel_matches_serial(tmp_path, capsys):
     assert serial == parallel
 
 
+def test_batch_bound_exceeded_line_exits_3(tmp_path, capsys):
+    # as for ct, a report that ends bound-exceeded makes the exit 3; an error
+    # line anywhere makes it 1; serial and parallel runs agree
+    jobs = tmp_path / "jobs.jsonl"
+    for lines, code, statuses in [
+        (['"x^3+y^7+z^11"', '"x^5"'], 3, ["complete", "bound-exceeded"]),
+        (['"x^3+y^7+z^11"', '"x^5"', '"1+x"'], 1, ["complete", "bound-exceeded", None]),
+    ]:
+        jobs.write_text("".join(line + "\n" for line in lines))
+        for parallel in ([], ["--parallel", "2"]):
+            got, out, err = run(capsys, "batch", str(jobs), "--max-bound", "10", *parallel)
+            assert (got, err) == (code, "")
+            assert [json.loads(line).get("status") for line in out.splitlines()] == statuses
+
+
 def test_parallel_workers_bounded_by_jobs_and_cpus(tmp_path, capsys, monkeypatch):
     built = []
 
@@ -695,6 +710,20 @@ def test_missing_arguments_exit_1(capsys):
     code = main(["brieskorn", "2"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["ct"], ["lct"], ["brieskorn"], ["sweep"], ["batch"], ["verify"]])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: thresholdkit", *argv]) + " ")
+
+
+def test_missing_input_exits_1_with_the_argparse_message(capsys):
+    code, out, err = run(capsys, "ct")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: thresholdkit ct ")
+    assert err.endswith("thresholdkit ct: error: the following arguments are required: input\n")
 
 
 def test_module_entry_point_prints_the_readme_json():

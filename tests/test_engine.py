@@ -999,9 +999,9 @@ def _counting_lp(monkeypatch):
     real = newton_module._solve_maximin
     calls = []
 
-    def counted(gens, n, *rest):
+    def counted(gens, *rest):
         calls.append(gens)
-        return real(gens, n, *rest)
+        return real(gens, *rest)
 
     monkeypatch.setattr(newton_module, "_solve_maximin", counted)
     return calls

@@ -779,11 +779,11 @@ def test_maximin_of_an_unreduced_set_is_the_kernel_vertex_on_it():
         rng.shuffle(gens)
         assert len(_minimal_elements(gens)) < len(set(gens))
         sol = maximin_lp(gens, n)
-        u, t, _, d = thresholdkit.lattice._solve_maximin(sorted(set(gens)), n)
+        u, t, _, d = thresholdkit.lattice._solve_maximin(sorted(set(gens)))
         assert (sol.value, tuple(F(x, sol.d) for x in sol.u)) == \
             (F(t, d), tuple(F(x, d) for x in u)), gens
         # the solution keeps the kernel's integers on the reduced generators
-        u, t, _, d = thresholdkit.lattice._solve_maximin(list(_minimal_elements(gens)), n)
+        u, t, _, d = thresholdkit.lattice._solve_maximin(list(_minimal_elements(gens)))
         assert (sol.u, sol.t, sol.d) == (tuple(u), t, d), gens
 
 
@@ -886,7 +886,7 @@ def test_narrow_kernel_matches_wide_tableau_on_maximin_lps():
         with_origin += (0,) * n in gens
         rows = [((1,) * n + (0,), "=", 1)] + [(m + (-1,), ">=", 0) for m in gens]
         (_, value, _, d_ref), _ = _reference_solve_standard(rows, (0,) * n + (1,))
-        u, t, lam, d = thresholdkit.lattice._solve_maximin(gens, n)
+        u, t, lam, d = thresholdkit.lattice._solve_maximin(gens)
         assert F(t, d) == F(value, d_ref), gens
         assert sum(u) == d and min(u) >= 0, gens
         assert min(sum(a * b for a, b in zip(u, m)) for m in gens) == t, gens
@@ -983,14 +983,14 @@ def test_maximin_kernel_output_is_pinned():
     moved = []
     for e in entries:
         gens = [tuple(g) for g in e["gens"]]
-        got = thresholdkit.lattice._solve_maximin(gens, e["n"])
+        got = thresholdkit.lattice._solve_maximin(gens)
         if got != (e["u"], e["t"], e["lam"], e["d"]):
             moved.append(f"{e['gens']}: {got}")
     assert moved == []
     # the axis step may enter a variable that was basic when it began: the
     # face holds the basic variables too, or this vertex is missed
     gens = [(3, 3, 0, 3), (3, 24, 3, 21), (5, 1, 4, 11), (22, 0, 3, 4)]
-    assert thresholdkit.lattice._solve_maximin(gens, 4) == ([4, 1, 0, 3], 24, [8, 0, 0, 0], 8)
+    assert thresholdkit.lattice._solve_maximin(gens) == ([4, 1, 0, 3], 24, [8, 0, 0, 0], 8)
 
 
 def _row_eliminate(row, pivot_row, col, p, d):
@@ -1073,7 +1073,7 @@ def test_column_kernel_matches_row_reference():
         gens = sorted({tuple(pt) for pt in pts})
         steps = len(axis_steps)
         expected = _row_solve_maximin(gens, n, axis_steps)
-        assert thresholdkit.lattice._solve_maximin(gens, n) == expected, (n, gens)
+        assert thresholdkit.lattice._solve_maximin(gens) == expected, (n, gens)
         # the axis step ended at a midpoint off the axis
         midpoints += len(axis_steps) > steps and expected[0].count(0) < n - 1
         cases += 1
@@ -1203,6 +1203,37 @@ for cols, labels in [([[2, 1], [1, 1]], [0]), ([[1, 1], [2, 1], [0, 0]], [1, 0])
 
 def test_fraction_free_update_rejects_inexact_division_under_optimize():
     assert _run_optimized(_INEXACT_DIVISION).split() == ["rejected", "rejected"]
+
+
+# Bland's leaving rule with its tie-break reversed cycles on entry 222 of the
+# pinned kernel cases (n = 7, 74 generators); the repeated-basis guard must
+# stop it with an error under python -O instead of pivoting forever.
+_REVERSED_TIE_BREAK = """
+import json
+import sys
+import types
+import thresholdkit.lattice as lattice
+
+assert False, "this script must run under python -O"
+with open(lattice.__file__, encoding="utf-8") as fh:
+    source = fh.read()
+rule = "basis[i] < basis[leave]"
+if source.count(rule) != 1:
+    raise SystemExit("the leaving tie-break is not where this script expects it")
+mutant = sys.modules["reversed_tie_break"] = types.ModuleType("reversed_tie_break")
+exec(compile(source.replace(rule, "basis[i] > basis[leave]"), lattice.__file__, "exec"), mutant.__dict__)
+with open(%r, encoding="utf-8") as fh:
+    gens = [tuple(g) for g in json.load(fh)[222]["gens"]]
+try:
+    mutant._solve_maximin(gens)
+    print("solved")
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_simplex_rejects_a_repeated_basis_under_optimize():
+    assert _run_optimized(_REVERSED_TIE_BREAK % str(_KERNEL)) == "simplex returned to a basis it left"
 
 
 def test_no_assert_statement_in_package():
