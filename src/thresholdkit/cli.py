@@ -1,11 +1,5 @@
-"""Command-line front-end.  Each subcommand takes only these options:
-
-    ct INPUT         --json --max-bound N --vars NAMES --brute CAP
-    lct INPUT        --json --vars NAMES
-    brieskorn A B C  --json --max-bound N --verify
-    sweep MAX        --max-bound N --parallel N
-    batch FILE       --max-bound N --parallel N --out PATH
-    verify INPUT P/Q --json --max-bound N --vars NAMES
+"""Command-line front-end: subcommands ct, lct, brieskorn, sweep, batch and
+verify, each taking only the options build_parser gives it.
 
 All numeric output is exact fractions; JSON mode writes each one as a
 num/den object (fraction_to_json) and is byte-stable across runs.
@@ -25,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -71,12 +65,13 @@ def _resolve_max_bound(args) -> int | None:
 
 
 def _load_diagram(source: str, variables: Sequence[str] | None) -> NewtonDiagram:
-    """A positional input names either a diagram JSON file or polynomial text."""
+    """A positional input names either a diagram JSON file, whose text
+    diagram_from_json decodes, or polynomial text."""
     if os.path.isfile(source):
         if variables is not None:
             raise ValueError("--vars applies to polynomial text, not to a diagram file")
         with open(source, "r", encoding="utf-8") as fh:
-            return diagram_from_json(json.load(fh))
+            return diagram_from_json(fh.read())
     return from_support(parse_polynomial(source, variables=variables))
 
 
@@ -154,14 +149,8 @@ def _brieskorn_json(result: BrieskornResult, lct: Fraction) -> dict:
         "lct": fraction_to_json(lct),
     }
     if result.s_values is not None:
-        sv = result.s_values
-        out["s_values"] = {
-            "s1": fraction_to_json(sv.s1),
-            "s2": fraction_to_json(sv.s2),
-            "s3": fraction_to_json(sv.s3),
-            "k1": sv.k1,
-            "k2": sv.k2,
-        }
+        out["s_values"] = {name: fraction_to_json(v) if isinstance(v, Fraction) else v
+                           for name, v in asdict(result.s_values).items()}  # in field order
     return out
 
 
@@ -305,6 +294,8 @@ def _batch_line(job: tuple[str, int | None]) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return {"error": f"invalid JSON: {exc}"}
+    except RecursionError:
+        return {"error": "invalid JSON: nested too deeply"}
     try:
         if isinstance(obj, str):
             diagram = from_support(parse_polynomial(obj))

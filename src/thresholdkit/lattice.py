@@ -117,10 +117,6 @@ class SupportSet:
             raise ValueError("support set must be nonempty")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def sorted_points(self) -> tuple[ExponentVector, ...]:
-        return tuple(sorted(self.points))
-
 
 # ---------------------------------------------------------------------------
 # primitive vectors
@@ -329,7 +325,7 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
         )
     variables = _resolve_variables({}, variables)  # rejects names that do not read back
     terms = []
-    for point in support.sorted_points:
+    for point in sorted(support.points):
         factors = [
             name if e == 1 else f"{name}^{e}"
             for name, e in zip(variables, point)
@@ -349,9 +345,11 @@ def _bland_simplex(cols: list[list[int]], basis: list[int], labels: list[int],
     those in face) and return the final denominator.  cols[j] holds the
     nonbasic variable labels[j], its entry i the basic variable basis[i] and
     its last entry the reduced cost; the last column is the right-hand side,
-    ending in -(objective).  All entries are over d > 0.  Bland's rule never
-    returns to a basis, so one seen again (key: the labels that changed sides
-    an odd number of times) raises, and a faulty rule fails instead of cycling."""
+    ending in -(objective).  All entries are integers over d > 0, and a pivot
+    updates them fraction-free (Bareiss), every division exact and checked.
+    Bland's rule never returns to a basis, so one seen again (key: the labels
+    that changed sides an odd number of times) raises, and a faulty rule
+    fails instead of cycling."""
     seen, key = {0}, 0
     while True:
         enter = None

@@ -182,9 +182,13 @@ def diagram_to_json(diagram: NewtonDiagram) -> dict:
 
 
 def diagram_from_json(obj: dict | str) -> NewtonDiagram:
-    """Load a diagram from its JSON form; points need not be minimal."""
+    """Load a diagram from its JSON form, given as an object or as text that
+    is decoded here, once; points need not be minimal."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except RecursionError:
+            raise ValueError("diagram JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError('diagram JSON must be an object {"n": ..., "points": [...]}')
     n, points = obj["n"], obj["points"]

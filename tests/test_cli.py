@@ -163,6 +163,25 @@ def test_vars_with_diagram_file_exits_1(tmp_path, capsys):
         assert err == "error: --vars applies to polynomial text, not to a diagram file\n"
 
 
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_diagram_file_exits_1(tmp_path, capsys):
+    # the decoder's RecursionError escaped as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    for argv in (["ct", str(path)], ["lct", str(path)], ["verify", str(path), "1/2"]):
+        assert run(capsys, *argv) == (1, "", "error: diagram JSON is nested too deeply\n"), argv
+
+
+def test_diagram_file_is_decoded_once(tmp_path, capsys):
+    # a JSON string holding a diagram document was decoded a second time and accepted
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(json.dumps({"n": 3, "points": [[2, 0, 0], [0, 3, 0], [0, 0, 5]]})))
+    assert run(capsys, "ct", str(path)) == (
+        1, "", 'error: diagram JSON must be an object {"n": ..., "points": [...]}\n')
+
+
 def test_ct_brute_with_max_bound_exits_1(capsys):
     # the box cap bounds the oracle; --max-bound was ignored, even 1
     for bound in ("1", "10", "100"):
@@ -279,6 +298,21 @@ def test_brieskorn_json(capsys):
         "s1": {"num": 3, "den": 8}, "s2": {"num": 2, "den": 5},
         "s3": {"num": 11, "den": 29}, "k1": 4, "k2": 1,
     }
+
+
+@pytest.mark.parametrize("triple, expected", [
+    ("5 6 29", '{"value": {"num": 3, "den": 8}, "case": "s1", "weight": [5, 4, 1], '
+               '"lct": {"num": 349, "den": 870}, "s_values": {"s1": {"num": 3, "den": 8}, '
+               '"s2": {"num": 2, "den": 5}, "s3": {"num": 11, "den": 29}, "k1": 4, "k2": 1}}'),
+    ("2 3 5", '{"value": {"num": 1, "den": 1}, "case": "clamp-1", "weight": [1, 1, 1], '
+              '"lct": {"num": 1, "den": 1}, "s_values": {"s1": {"num": 1, "den": 1}, '
+              '"s2": {"num": 1, "den": 1}, "s3": {"num": 1, "den": 1}, "k1": 1, "k2": 1}}'),
+    ("2 3 7", '{"value": {"num": 5, "den": 6}, "case": "lcm-rule", "weight": [3, 2, 1], '
+              '"lct": {"num": 41, "den": 42}}'),
+], ids=["s1", "clamp-1", "lcm-rule"])
+def test_brieskorn_json_bytes(capsys, triple, expected):
+    # the key order, s-values included, is part of the output
+    assert run(capsys, "brieskorn", *triple.split(), "--json") == (0, expected + "\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +649,16 @@ def test_batch_malformed_diagram_line_is_per_line_error(tmp_path, capsys):
     assert out.splitlines()[3] == '{"error": "support set must be nonempty"}'
 
 
+def test_batch_deeply_nested_line_is_per_line_error(tmp_path, capsys):
+    # the decoder's RecursionError escaped, and no line was written for any job
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('"x^3+y^7+z^11"\n' + DEEP_JSON + "\n")
+    first = run(capsys, "ct", "x^3+y^7+z^11", "--json")[1]
+    for parallel in ([], ["--parallel", "2"]):
+        assert run(capsys, "batch", str(jobs), *parallel) == (
+            1, first + '{"error": "invalid JSON: nested too deeply"}\n', ""), parallel
+
+
 def test_batch_unit_line_is_per_line_error(tmp_path, capsys):
     jobs = tmp_path / "jobs.jsonl"
     jobs.write_text('"1 + x"\n')
@@ -700,10 +744,7 @@ def test_documented_options_match_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = {m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
              for m in re.finditer(r"^\| `(\w+)` +\|(.*)\|$", readme, re.M)}
-    docstring = {m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
-                 for m in re.finditer(r"^    (\w+) [^-\n]*(--.*)$", cli.__doc__, re.M)}
     assert table == actual
-    assert docstring == actual
 
 
 def test_missing_arguments_exit_1(capsys):

@@ -1,5 +1,6 @@
 """Diagram construction, weight evaluation, membership, and inclusion."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -390,6 +391,12 @@ def test_diagram_json_accepts_string():
     assert d.generators == ((0, 1), (1, 0))
 
 
+def test_diagram_json_nested_too_deeply_is_a_value_error():
+    # the decoder's RecursionError escaped
+    with pytest.raises(ValueError, match="^diagram JSON is nested too deeply$"):
+        diagram_from_json("[" * 100000 + "]" * 100000)
+
+
 def test_diagram_json_rejects_bad_shape():
     for obj in [
         {"points": [[1, 0]]},
@@ -397,6 +404,7 @@ def test_diagram_json_rejects_bad_shape():
         {"n": 3, "points": [1, 2]},
         {"n": None, "points": [[1, 0]]},
         {"n": 3, "points": [[True, 0, 0], [0, 2, 0], [0, 0, 3]]},
+        json.dumps(json.dumps({"n": 2, "points": [[1, 0], [0, 1]]})),  # text is decoded once
     ]:
         with pytest.raises(ValueError):
             diagram_from_json(obj)
