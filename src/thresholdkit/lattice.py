@@ -2,8 +2,13 @@
 maximin linear-programming kernel.
 
 Everything in this module is pure and exact: values are Python ints and
-``fractions.Fraction``; no floats enter at any point.  The one LP is the
-maximin of <u, m> over probability directions u, solved by
+``fractions.Fraction``; no floats enter at any point.
+
+Polynomial text is read by two patterns compiled at import: one decides
+that the text is in the grammar, the other extracts its terms.  A token
+walk reports every error, with its position.
+
+The one LP is the maximin of <u, m> over probability directions u, solved by
 ``_solve_maximin`` for NewtonDiagram.maximin, which passes it a diagram's
 checked generators and certifies its answer.  It is a single-phase simplex
 from the slack basis, feasible once u_1 is eliminated through sum(u) = 1.
@@ -98,8 +103,9 @@ def _check_vector(v: Sequence[int], n: int | None, label: str = "exponent vector
     t = tuple(v)
     if n is not None and len(t) != n:
         raise DimensionMismatchError(f"{label} {t} has length {len(t)}, expected {n}")
-    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in t):
-        raise error(f"{label} {t} has a non-integer or negative entry")
+    for x in t:
+        if not (type(x) is int or isinstance(x, int) and not isinstance(x, bool)) or x < 0:
+            raise error(f"{label} {t} has a non-integer or negative entry")
     return t
 
 
@@ -161,6 +167,19 @@ _INDEXED_RE = re.compile(r"x([1-9])")
 # longest digit run the grammar accepts, whatever the interpreter's own limit
 _MAX_DIGITS = 4300
 
+# The grammar of _parse_terms as one pattern, with whitespace (what
+# _TOKEN_RE skips) between tokens.  Each \s* is followed by a fixed operator
+# or by the end, and no two tokens of the grammar touch without one, so a
+# refusal backtracks over each character a bounded number of times.
+_INT = rf"[0-9]{{1,{_MAX_DIGITS}}}"
+_POSITIVE = rf"(?=0*[1-9]){_INT}"
+_FACTOR = rf"{_NAME_RE.pattern}(?:\s*\^\s*{_POSITIVE})?"
+_TERM = rf"(?:{_INT}(?:\s*/\s*{_POSITIVE})?|{_FACTOR})(?:\s*\*\s*{_FACTOR})*"
+_POLYNOMIAL_RE = re.compile(rf"\s*(?:[-+]\s*)?{_TERM}(?:\s*[-+]\s*{_TERM})*\s*")
+# on text _POLYNOMIAL_RE accepts, findall gives one (sign, num, den, name,
+# exp) piece per coefficient and per factor
+_PIECE_RE = re.compile(rf"([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|({_NAME_RE.pattern})(?:\s*\^\s*([0-9]+))?)")
+
 
 def _integer(digits: str, pos: int) -> int:
     """The digit run at pos as an int; a run of more than _MAX_DIGITS
@@ -170,11 +189,11 @@ def _integer(digits: str, pos: int) -> int:
     return int(digits)
 
 
-def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, dict[str, int]]], dict[str, int]]:
-    """Parse the polynomial grammar into (coefficient, exponents) terms and
-    the first position of each variable, in order of appearance.  A
-    coefficient carries the sign before its term; it is an int unless the
-    term writes a '/'.
+def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, list[tuple[str, int]]]], dict[str, None]]:
+    """Parse the polynomial grammar into (coefficient, factors) terms, each
+    factor a (variable, exponent) pair, and the variables, in order of
+    appearance.  A coefficient carries the sign before its term; it is an
+    int unless the term writes a '/'.
 
     polynomial := ['+'|'-'] term (('+'|'-') term)*
     term       := coefficient ['*' factor ('*' factor)*] | factor ('*' factor)*
@@ -183,9 +202,32 @@ def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, dict[str, int]]]
 
     Integers are runs of ASCII digits.  A bare coefficient is a constant
     term (exponent vector 0), so input like "1 + x" parses; downstream
-    threshold code rejects it as a unit.  Every character is tokenized
-    before any grammar error is raised.
+    threshold code rejects it as a unit.  Two patterns compiled at import
+    decide and extract: _POLYNOMIAL_RE accepts the text, _PIECE_RE splits it
+    into pieces.  Text the first refuses goes to _walk_tokens, which
+    reports every error.
     """
+    if _POLYNOMIAL_RE.fullmatch(text) is None:
+        _walk_tokens(text)
+        raise AssertionError(f"the token walk accepts {text!r}, which the grammar's pattern refuses")
+    terms: list[tuple[int | Fraction, list[tuple[str, int]]]] = []
+    names: dict[str, None] = {}
+    for sign, num, den, name, exp in _PIECE_RE.findall(text):
+        if sign or not terms:  # a term starts at a sign or at the first piece
+            coeff = Fraction(int(num), int(den)) if den else int(num) if num else 1
+            factors: list[tuple[str, int]] = []
+            terms.append((-coeff if sign == "-" else coeff, factors))
+        if name:
+            factors.append((name, int(exp) if exp else 1))
+            names[name] = None
+    return terms, names
+
+
+def _walk_tokens(text: str) -> dict[str, int]:
+    """Walk the tokens of text by the grammar of _parse_terms and raise the
+    first ParseError, with its position; else return the first position of
+    each variable, in order of appearance.  Every character is tokenized
+    before any grammar error is raised."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
@@ -195,25 +237,20 @@ def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, dict[str, int]]]
         raise ParseError("empty polynomial", 0)
     tokens.append((None, None, len(text)))  # end of text
 
-    terms = []
     positions: dict[str, int] = {}
-    sign = -1 if tokens[0][1] == "-" else 1
     i = 1 if tokens[0][1] in ("+", "-") else 0
     while True:
         kind, val, pos = tokens[i]
-        exponents: dict[str, int] = {}
         if kind == "name":
-            coeff, more = sign, True
+            more = True
         elif kind == "num":
-            coeff = sign * _integer(val, pos)
+            _integer(val, pos)
             if tokens[i + 1][1] == "/":
                 kind, val, pos = tokens[i + 2]
                 if kind != "num":
                     raise ParseError("expected denominator after '/'", pos)
-                den = _integer(val, pos)
-                if den == 0:
+                if _integer(val, pos) == 0:
                     raise ParseError("zero denominator in coefficient", pos)
-                coeff = Fraction(coeff, den)
                 i += 2
             kind, val, pos = tokens[i + 1]
             if kind in ("name", "num"):
@@ -226,32 +263,27 @@ def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, dict[str, int]]]
             kind, name, pos = tokens[i]
             if kind != "name":
                 raise ParseError(f"expected a variable, found {name!r}" if name else "expected a variable", pos)
-            exp = 1
             if tokens[i + 1][1] == "^":
                 kind, val, epos = tokens[i + 2]
                 if val == "-":
                     raise ParseError("negative exponent", epos)
                 if kind != "num":
                     raise ParseError("expected an integer exponent after '^'", epos)
-                exp = _integer(val, epos)
-                if exp < 1:
+                if _integer(val, epos) < 1:
                     raise ParseError("exponent must be a positive integer", epos)
                 i += 2
-            exponents[name] = exponents.get(name, 0) + exp
             positions.setdefault(name, pos)
             more = tokens[i + 1][1] == "*"
             i += 1 + more
-        terms.append((coeff, exponents))
         kind, val, pos = tokens[i]
         if kind is None:
-            return terms, positions
+            return positions
         if val not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', found {val!r}", pos)
-        sign = -1 if val == "-" else 1
         i += 1
 
 
-def _resolve_variables(positions: dict[str, int], variables: Sequence[str] | None) -> tuple[str, ...]:
+def _resolve_variables(positions: dict[str, int | None], variables: Sequence[str] | None) -> tuple[str, ...]:
     if variables is not None:
         vars_ = tuple(variables)
         for name in vars_:
@@ -292,17 +324,23 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
     support.  So "x^2 - x^2 + y^3" has support {y^3}.  With ``variables=None``
     the ambient variable list is inferred: plain names draw from (x, y, z, w)
     with dimension 3 unless ``w`` occurs, and indexed names x1..x8 declare
-    dimension max(index, 2).
+    dimension max(index, 2).  Text the grammar accepts is read by compiled
+    patterns (_parse_terms); the token walk (_walk_tokens) runs only to
+    report an error, a variable's position included.
     """
-    terms, positions = _parse_terms(text)
-    vars_ = _resolve_variables(positions, variables)
+    terms, names = _parse_terms(text)
+    try:
+        vars_ = _resolve_variables(names, variables)
+    except ParseError:
+        # the same names again, now with the positions the message needs
+        vars_ = _resolve_variables(_walk_tokens(text), variables)
     index = {name: i for i, name in enumerate(vars_)}
 
     sums: dict[ExponentVector, int | Fraction] = {}
-    for coeff, exponents in terms:
+    for coeff, factors in terms:
         vec = [0] * len(vars_)
-        for name, exp in exponents.items():
-            vec[index[name]] = exp
+        for name, exp in factors:
+            vec[index[name]] += exp
         point = tuple(vec)
         sums[point] = sums.get(point, 0) + coeff
     points = [point for point, total in sums.items() if total]

@@ -46,7 +46,10 @@ def _minimal_elements(points: Iterable[ExponentVector]) -> tuple[ExponentVector,
     those it dominates, and a dropped point is dominated by a kept one."""
     keep: list[ExponentVector] = []
     for p in sorted(set(points)):
-        if not any(all(map(operator.ge, p, q)) for q in keep):
+        for q in keep:
+            if all(map(operator.ge, p, q)):
+                break
+        else:
             keep.append(p)
     return tuple(keep)
 

@@ -24,6 +24,7 @@ from thresholdkit.newton import _minimal_elements
 from thresholdkit import (
     DimensionMismatchError,
     InadmissibleWeightError,
+    NewtonDiagram,
     ParseError,
     check_admissible_weight,
     fraction_to_json,
@@ -582,6 +583,29 @@ def _mutate(rng, text):
     return text
 
 
+# whitespace the tokenizer skips, ASCII and not, put between every pair of
+# tokens, around '^', '/' and a leading sign too
+_SPACES = (" ", "\t", "\n", "\u00a0", "\u2003")
+_ANY_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|\S")
+
+
+def _spaced(rng, text):
+    """text with whitespace before, between and after its tokens."""
+    def gap():
+        return "".join(rng.choice(_SPACES) for _ in range(rng.randint(1, 3)))
+    return "".join(gap() + token for token in _ANY_TOKEN_RE.findall(text)) + gap()
+
+
+def _long_polynomial(rng, names):
+    """A line longer than the digit limit of 4300, with short digit runs and
+    no zero exponent; a mutation, which removes at most 3 characters, keeps
+    it longer."""
+    text = _random_polynomial(rng, names)
+    while len(text) <= 4303:
+        text += rng.choice([" + ", " - ", "+", "-"]) + _random_polynomial(rng, names).lstrip("+- ")
+    return text.replace("^0", "^7")
+
+
 def _parse_outcome(parse, text, variables):
     try:
         return parse(text, variables)
@@ -608,7 +632,18 @@ def test_flat_parser_matches_reference_parser():
         text = "".join(rng.choice(_PARSE_ALPHABET) for _ in range(rng.randint(0, 8)))
         cases.append((text, rng.choice([None, None, ("x", "y"), ("a", "b", "q")])))
     cases += [(text, variables) for text, variables, _, _ in _PARSE_ERRORS]
-    assert len(cases) >= 20000
+    spaced_cases, long_cases = [], []
+    for _ in range(1500):
+        variables = rng.choice([None, None, ("x", "y"), ("u1", "u2", "u3", "u4")])
+        text = _random_polynomial(rng, list(variables or "xyzw"))
+        spaced_cases += [(_spaced(rng, text), variables), (_spaced(rng, _mutate(rng, text)), variables)]
+    for _ in range(40):
+        variables = rng.choice([None, ("a", "b", "q")])
+        text = _long_polynomial(rng, list(variables or "xyzw"))
+        long_cases += [(text, variables), (_mutate(rng, text), variables)]
+    assert min(len(text) for text, _ in long_cases) > 4300
+    cases += spaced_cases + long_cases
+    assert len(cases) >= 23000
 
     sites, parsed = set(), 0
     for text, variables in cases:
@@ -620,6 +655,33 @@ def test_flat_parser_matches_reference_parser():
             sites.add((site, variables is not None) if site == "unknown variable" else site)
     assert len(sites) == len(_RAISE_SITES) + 1, sorted(map(str, sites))
     assert parsed >= 3000, parsed
+    # the spaced and the long lines reach both the patterns and the walk
+    for more, least in ((spaced_cases, 1000), (long_cases, 20)):
+        outcomes = [_parse_outcome(parse_polynomial, text, variables) for text, variables in more]
+        assert sum(isinstance(got, SupportSet) for got in outcomes) >= least
+        assert sum(isinstance(got, tuple) for got in outcomes) >= least
+
+
+def test_long_malformed_lines_take_linear_time():
+    # a batch line is untrusted: a pattern that backtracks must not turn a
+    # long line into super-linear work; each line gives the reference
+    # parser's outcome well inside the bound
+    k = 10 ** 5
+    lines = [
+        "a" * (k // 2) + " " * (k // 2) + "#",
+        "x*" * (k // 2 - 1) + "x#",
+        "x+" * (k // 2 - 1) + "x*",
+        ("12/7*x^2+" * (k // 9))[:-1] + "/",
+        "12/7*x^2*y + " * (k // 13) + "z^3",
+    ]
+    for text in lines:
+        assert len(text) >= 0.99 * k
+        start = time.perf_counter()
+        got = _parse_outcome(parse_polynomial, text, None)
+        elapsed = time.perf_counter() - start
+        assert got == _parse_outcome(_reference_parse, text, None), text[-20:]
+        assert elapsed < 1.0, (text[-20:], elapsed)
+    assert isinstance(got, SupportSet)
 
 
 # ---------------------------------------------------------------------------
@@ -745,14 +807,28 @@ def test_maximin_dimension_mismatch():
 
 
 def test_maximin_validates_generators_like_every_vector():
-    # fractional, bool and negative entries are refused before the LP runs
-    for bad in [(1.5, 0, 0), (True, 2, 0), (-1, 2, 0)]:
+    # fractional, bool, string and negative entries are refused before the LP runs
+    for bad in [(1.5, 0, 0), (True, 2, 0), (-1, 2, 0), (Fraction(2), 0, 0), ("2", 0, 0)]:
         with pytest.raises(ValueError, match="non-integer or negative"):
             maximin_lp([bad, (0, 2, 0)], 3)
     with pytest.raises(DimensionMismatchError):
         maximin_lp([(1, 2, 0), (0, 2)], 3)
     with pytest.raises(ValueError, match="diagram must have at least one generator"):
         maximin_lp([], 3)
+
+
+def test_int_subclass_entries_are_accepted_like_ints():
+    # the vector rule is "int, bool excluded", not "exactly int"
+    class Exp(int):
+        pass
+
+    gens = [(Exp(2), Exp(0), Exp(0)), (Exp(0), Exp(3), Exp(0)), (Exp(0), Exp(0), Exp(5))]
+    plain = [(2, 0, 0), (0, 3, 0), (0, 0, 5)]
+    assert SupportSet(3, frozenset(gens)).points == frozenset(plain)
+    assert NewtonDiagram(3, gens).generators == tuple(sorted(plain))
+    w = (Exp(15), Exp(10), Exp(6))
+    assert check_admissible_weight(w) == (15, 10, 6)
+    assert all(type(x) is Exp for x in check_admissible_weight(w))
 
 
 def test_maximin_takes_only_a_diagram_dimension():
