@@ -30,32 +30,12 @@ ct_bruteforce.  It keeps t* = t / d as the kernel's integers, and every
 comparison with t* or r* = d / t cross-multiplies them; a Fraction is built
 only for a value the caller gets back.
 
-Within a level, a depth-first search fixes one coordinate at a time; its
-prefixes wait on one explicit stack, pushed in reverse so that they pop in
-lexicographic order.  A vector ties or beats the best value so far only if
-<w, m> >= need = ceil((|w|_1 - 1) / best) for every generator m.  With a
-prefix fixed and x the next coordinate, <w, m> is at most the prefix's dot
-product plus x * m_k + (rest - x) * max_{j>k} m_j, linear in x, so the x
-that keep every m in reach form one integer interval and the others are cut
-(branch and bound).  The last two coordinates get no stack entries: a
-prefix of n-3 coordinates loops its next coordinate x in place, and for
-each x the second-to-last coordinate y gets its interval straight from the
-prefix's dot products.  The last coordinate takes the rest, so <w, m> is
-linear in y and that interval is exact; its leaves are evaluated in order,
-and need is refreshed after each improvement, so the vectors evaluated and
-their order are those of a stack that pushed every prefix.  In 2
-variables the same block runs on the root, with a zero coordinate x held
-at 0 in front.  best only decreases, so a cut vector cannot tie the final
-value either: the witnesses are those of the exhaustive search.
-
-A level is skipped before it pushes its root prefix when floor(level * t*)
-< need.  The dual certificate that NewtonDiagram.maximin checks is a point
-p = sum lam_m m of conv(gens) with p <= t*, so every w has the integer
-wf(w) <= <w, p> <= |w|_1 * t*.  Every leaf evaluated passed the exact
-interval of its second-to-last coordinate, so it has wf >= need: a skipped
-level would have evaluated none, and nodes is unchanged.  The skip rests on that
-certificate, not on _sandwich, which checks wf <= |w|_1 * t* only on the
-vectors evaluated: a t* below the optimum would skip levels holding ties.
+Within a level, a vector ties or beats the best value so far only if
+<w, m> >= need = ceil((|w|_1 - 1) / best) for every generator m; a
+depth-first search cuts every prefix that cannot keep this in reach (branch
+and bound; _search gives the walk and the levels it skips).  best only
+decreases, so a cut vector cannot tie the final value either: the
+witnesses are those of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -258,12 +238,26 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
     level up to the level bound or the cap; returns (bound, nodes, status).
     A stack entry is a prefix of at most n-3 coordinates: next coordinate k,
     head, its dot products with the generators, rest of the level, gcd;
-    entries pop in lexicographic order.  A popped prefix of n-3 coordinates
-    walks its next coordinate x in place and, per x, the exact interval of
-    the second-to-last coordinate y, the last taking the rest.  n = 2 walks
-    the same block, its generators given a zero first coordinate held at
-    x = 0 and left out of w.  A level that the dual certificate rules out
-    (module docstring) is skipped."""
+    entries are pushed in reverse and pop in lexicographic order.  With x the
+    next coordinate, <w, m> is at most the prefix's dot product plus x * m_k
+    + (rest - x) * max_{j>k} m_j, linear in x, so the x that keep every m in
+    reach of need form one integer interval.  The last two coordinates get
+    no stack entries: a popped prefix of n-3 coordinates loops its next
+    coordinate x in place, and per x the second-to-last coordinate y gets
+    its interval from the prefix's dot products.  The last coordinate takes
+    the rest, so <w, m> is linear in y and that interval is exact; leaves
+    are evaluated in order and need is refreshed after each improvement, so
+    the vectors evaluated and their order are those of a stack that pushed
+    every prefix.  n = 2 walks the same block on the root, its generators
+    given a zero first coordinate held at x = 0 and left out of w.
+    A level is skipped before it pushes its root prefix when floor(level *
+    t*) < need.  The dual certificate that NewtonDiagram.maximin checks is a
+    point p = sum lam_m m of conv(gens) with p <= t*, so every w has the
+    integer wf(w) <= <w, p> <= |w|_1 * t*.  Every leaf evaluated passed the
+    exact interval of y, so it has wf >= need: a skipped level would have
+    evaluated none, and nodes is unchanged.  The skip rests on that
+    certificate, not on _sandwich, which checks wf <= |w|_1 * t* only on the
+    vectors evaluated: a t* below the optimum would skip levels holding ties."""
     n = len(gens[0])
     lead = n == 2
     if lead:

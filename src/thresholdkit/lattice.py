@@ -6,7 +6,7 @@ Everything in this module is pure and exact: values are Python ints and
 
 Polynomial text is read by two patterns compiled at import: one decides
 that the text is in the grammar, the other extracts its terms.  A token
-walk reports every error, with its position.
+walk reports every grammar error, with its position.
 
 The one LP is the maximin of <u, m> over probability directions u, solved by
 ``_solve_maximin`` for NewtonDiagram.maximin, which passes it a diagram's
@@ -181,12 +181,18 @@ _POLYNOMIAL_RE = re.compile(rf"\s*(?:[-+]\s*)?{_TERM}(?:\s*[-+]\s*{_TERM})*\s*")
 _PIECE_RE = re.compile(rf"([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|({_NAME_RE.pattern})(?:\s*\^\s*([0-9]+))?)")
 
 
-def _integer(digits: str, pos: int) -> int:
-    """The digit run at pos as an int; a run of more than _MAX_DIGITS
-    digits is a ParseError there."""
+def _digits(digits: str, pos: int) -> str:
+    """The digit run at pos; a run of more than _MAX_DIGITS digits is a
+    ParseError there."""
     if len(digits) > _MAX_DIGITS:
         raise ParseError(f"integer of {len(digits)} digits is too long", pos)
-    return int(digits)
+    return digits
+
+
+def _long_int(digits: str) -> int:
+    """int(digits) under any int-string limit, none of which is below 640
+    digits (sys.int_info.str_digits_check_threshold): 640 digits at a time."""
+    return _long_int(digits[:-640]) * 10 ** 640 + int(digits[-640:]) if len(digits) > 640 else int(digits)
 
 
 def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, list[tuple[str, int]]]], dict[str, None]]:
@@ -212,22 +218,23 @@ def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, list[tuple[str, 
         raise AssertionError(f"the token walk accepts {text!r}, which the grammar's pattern refuses")
     terms: list[tuple[int | Fraction, list[tuple[str, int]]]] = []
     names: dict[str, None] = {}
+    # int() refuses no run of at most 640 digits, whatever the limit
+    to_int = int if len(text) <= 640 else _long_int
     for sign, num, den, name, exp in _PIECE_RE.findall(text):
         if sign or not terms:  # a term starts at a sign or at the first piece
-            coeff = Fraction(int(num), int(den)) if den else int(num) if num else 1
+            coeff = Fraction(to_int(num), to_int(den)) if den else to_int(num) if num else 1
             factors: list[tuple[str, int]] = []
             terms.append((-coeff if sign == "-" else coeff, factors))
         if name:
-            factors.append((name, int(exp) if exp else 1))
+            factors.append((name, to_int(exp) if exp else 1))
             names[name] = None
     return terms, names
 
 
-def _walk_tokens(text: str) -> dict[str, int]:
+def _walk_tokens(text: str) -> None:
     """Walk the tokens of text by the grammar of _parse_terms and raise the
-    first ParseError, with its position; else return the first position of
-    each variable, in order of appearance.  Every character is tokenized
-    before any grammar error is raised."""
+    first ParseError, with its position.  Every character is tokenized
+    before any grammar error is raised, and no digit run is converted."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
@@ -237,19 +244,18 @@ def _walk_tokens(text: str) -> dict[str, int]:
         raise ParseError("empty polynomial", 0)
     tokens.append((None, None, len(text)))  # end of text
 
-    positions: dict[str, int] = {}
     i = 1 if tokens[0][1] in ("+", "-") else 0
     while True:
         kind, val, pos = tokens[i]
         if kind == "name":
             more = True
         elif kind == "num":
-            _integer(val, pos)
+            _digits(val, pos)
             if tokens[i + 1][1] == "/":
                 kind, val, pos = tokens[i + 2]
                 if kind != "num":
                     raise ParseError("expected denominator after '/'", pos)
-                if _integer(val, pos) == 0:
+                if not _digits(val, pos).lstrip("0"):
                     raise ParseError("zero denominator in coefficient", pos)
                 i += 2
             kind, val, pos = tokens[i + 1]
@@ -269,21 +275,26 @@ def _walk_tokens(text: str) -> dict[str, int]:
                     raise ParseError("negative exponent", epos)
                 if kind != "num":
                     raise ParseError("expected an integer exponent after '^'", epos)
-                if _integer(val, epos) < 1:
+                if not _digits(val, epos).lstrip("0"):
                     raise ParseError("exponent must be a positive integer", epos)
                 i += 2
-            positions.setdefault(name, pos)
             more = tokens[i + 1][1] == "*"
             i += 1 + more
         kind, val, pos = tokens[i]
         if kind is None:
-            return positions
+            return
         if val not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', found {val!r}", pos)
         i += 1
 
 
-def _resolve_variables(positions: dict[str, int | None], variables: Sequence[str] | None) -> tuple[str, ...]:
+def _unknown_variable(name: str, text: str) -> ParseError:
+    # at its first token: on text the grammar accepts, _NAME_RE matches names
+    pos = next(m.start() for m in _NAME_RE.finditer(text) if m.group() == name)
+    return ParseError(f"unknown variable {name!r}", pos)
+
+
+def _resolve_variables(names: dict[str, None], variables: Sequence[str] | None, text: str) -> tuple[str, ...]:
     if variables is not None:
         vars_ = tuple(variables)
         for name in vars_:
@@ -292,15 +303,15 @@ def _resolve_variables(positions: dict[str, int | None], variables: Sequence[str
         if len(set(vars_)) != len(vars_):
             raise ValueError(f"duplicate variable names in {vars_}")
         _check_dimension(len(vars_))
-        for name, pos in positions.items():
+        for name in names:
             if name not in vars_:
-                raise ParseError(f"unknown variable {name!r}", pos)
+                raise _unknown_variable(name, text)
         return vars_
 
-    if all(name in DEFAULT_NAMED_VARIABLES for name in positions):
-        return DEFAULT_NAMED_VARIABLES[:4 if "w" in positions else 3]
+    if all(name in DEFAULT_NAMED_VARIABLES for name in names):
+        return DEFAULT_NAMED_VARIABLES[:4 if "w" in names else 3]
 
-    matches = [_INDEXED_RE.fullmatch(name) for name in positions]
+    matches = [_INDEXED_RE.fullmatch(name) for name in names]
     if all(matches):
         top = max(int(m.group(1)) for m in matches)
         n = max(top, MIN_DIMENSION)
@@ -308,9 +319,9 @@ def _resolve_variables(positions: dict[str, int | None], variables: Sequence[str
             raise DimensionMismatchError(f"variable x{top} exceeds the supported dimension {MAX_DIMENSION}")
         return tuple(f"x{i}" for i in range(1, n + 1))
 
-    for name, pos in positions.items():
+    for name in names:
         if name not in DEFAULT_NAMED_VARIABLES and _INDEXED_RE.fullmatch(name) is None:
-            raise ParseError(f"unknown variable {name!r}", pos)
+            raise _unknown_variable(name, text)
     # a mix of named (x,y,z,w) and indexed (x1..x8) styles
     raise ParseError("mixed named and indexed variables; declare the variable list explicitly")
 
@@ -325,15 +336,11 @@ def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> Suppo
     the ambient variable list is inferred: plain names draw from (x, y, z, w)
     with dimension 3 unless ``w`` occurs, and indexed names x1..x8 declare
     dimension max(index, 2).  Text the grammar accepts is read by compiled
-    patterns (_parse_terms); the token walk (_walk_tokens) runs only to
-    report an error, a variable's position included.
+    patterns (_parse_terms); the token walk (_walk_tokens) runs only on text
+    they refuse, to report its error.
     """
     terms, names = _parse_terms(text)
-    try:
-        vars_ = _resolve_variables(names, variables)
-    except ParseError:
-        # the same names again, now with the positions the message needs
-        vars_ = _resolve_variables(_walk_tokens(text), variables)
+    vars_ = _resolve_variables(names, variables, text)
     index = {name: i for i, name in enumerate(vars_)}
 
     sums: dict[ExponentVector, int | Fraction] = {}
@@ -361,7 +368,7 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
         raise DimensionMismatchError(
             f"{len(variables)} variable names for dimension {support.dimension}"
         )
-    variables = _resolve_variables({}, variables)  # rejects names that do not read back
+    variables = _resolve_variables({}, variables, "")  # rejects names that do not read back
     terms = []
     for point in sorted(support.points):
         factors = [
@@ -377,23 +384,21 @@ def support_to_text(support: SupportSet, variables: Sequence[str] | None = None)
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _bland_simplex(cols: list[list[int]], basis: list[int], labels: list[int],
-                   d: int, face: set[int] | None = None) -> int:
-    """Maximize in place over the nonbasic variables (default: all, else
-    those in face) and return the final denominator.  cols[j] holds the
-    nonbasic variable labels[j], its entry i the basic variable basis[i] and
-    its last entry the reduced cost; the last column is the right-hand side,
-    ending in -(objective).  All entries are integers over d > 0, and a pivot
-    updates them fraction-free (Bareiss), every division exact and checked.
-    Bland's rule never returns to a basis, so one seen again (key: the labels
-    that changed sides an odd number of times) raises, and a faulty rule
-    fails instead of cycling."""
+def _bland_simplex(cols: list[list[int]], basis: list[int], labels: list[int], d: int) -> int:
+    """Maximize in place over the columns given and return the final
+    denominator.  cols[j] holds the nonbasic variable labels[j], its entry i
+    the basic variable basis[i] and its last entry the reduced cost; the last
+    column is the right-hand side, ending in -(objective).  A variable whose
+    column is left out stays 0; one that leaves the basis takes the entering
+    column.  All entries are integers over d > 0, and a pivot updates them
+    fraction-free (Bareiss), every division exact and checked.  Bland's rule
+    never returns to a basis, so one seen again (key: the labels that changed
+    sides an odd number of times) raises: a faulty rule fails, never cycles."""
     seen, key = {0}, 0
     while True:
         enter = None
         for j, col in enumerate(cols[:-1]):
-            if col[-1] > 0 and (face is None or labels[j] in face) and (enter is None
-                                                                      or labels[j] < labels[enter]):
+            if col[-1] > 0 and (enter is None or labels[j] < labels[enter]):
                 enter = j
         if enter is None:
             return d
@@ -443,10 +448,11 @@ def _solve_maximin(gens: Sequence[ExponentVector],
     last, each with a row per basic one (basis) and its reduced cost last.
 
     If the optimum is an axis e_j, a second objective minimizes u_j over the
-    optimal face (the variables with zero reduced cost), and the midpoint of
-    the two vertices is returned when they differ: it attains t on the same
-    face and keeps the multipliers, so its ray is not an axis.  first_vertex
-    skips that step, for callers that read only t and d.
+    optimal face, from the same basis on the columns of zero reduced cost
+    and the rhs, and the midpoint of the two vertices is returned when they
+    differ: it attains t on the same face and keeps the multipliers, so its
+    ray is not an axis.  first_vertex skips that step, for callers that read
+    only t and d.
     """
     n = len(gens[0])
     x1, *xs = zip(*gens)
@@ -464,10 +470,10 @@ def _solve_maximin(gens: Sequence[ExponentVector],
     if not first_vertex and u.count(0) == n - 1:
         a = next(i for i, ui in enumerate(u) if ui)
         # maximize -u_a over the face from the current basis: its costs are the row of u_a
-        face = {*basis, *(v for v, c in reduced.items() if c == 0)}
         r = basis.index(n if a == 0 else a - 1)
-        cols[:] = [[*col[:-1], col[r]] for col in cols]
-        d2 = _bland_simplex(cols, basis, labels, d, face)
+        face = [j for j, col in enumerate(cols[:-1]) if col[-1] == 0] + [-1]  # and the rhs
+        cols = [[*cols[j][:-1], cols[j][r]] for j in face]
+        d2 = _bland_simplex(cols, basis, [labels[j] for j in face[:-1]], d)
         v = direction()
         if v[a] != d2:
             u = [x * d2 + y * d for x, y in zip(u, v)]

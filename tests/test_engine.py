@@ -792,6 +792,74 @@ def test_ct_reports_are_pinned():
     assert moved == []
 
 
+def _two_variable_threshold(points):
+    """The 2-variable threshold in closed form, with no search: (value, tops),
+    value = min(1, 1/mult) for mult = min_m |m|_1 (>= 1: no point is the
+    origin), and tops[i] the largest k (None: every k) for which the vector
+    with k at coordinate i and 1 at the other attains it.
+
+    An admissible w has both coordinates >= 1, as (k, 0) is a unit or not
+    primitive, so |w|_1 - 1 >= max(w), with equality iff min(w) = 1.  For m0
+    with |m0|_1 = mult, wf(w) <= <w, m0> <= max(w) * mult, so h(w) >= 1/mult,
+    which (1, 1) attains.  Equality needs min(w) = 1 and, for w = (k, 1),
+    k * m_1 + m_2 >= k * mult for every point m: k <= m_2 // (mult - m_1)
+    where m_1 < mult, and no bound on k if every m_1 >= mult."""
+    mult = min(a + b for a, b in points)
+    tops = []
+    for i in (0, 1):
+        ks = [m[1 - i] // (mult - m[i]) for m in points if m[i] < mult]
+        tops.append(min(ks) if ks else None)
+    return F(1, mult), tops
+
+
+def _two_variable_witnesses(tops, level):
+    """The closed form's witnesses with |w|_1 <= level, in order."""
+    ks = [level - 1 if top is None else min(top, level - 1) for top in tops]
+    return sorted({(k, 1) for k in range(1, ks[0] + 1)} | {(1, k) for k in range(1, ks[1] + 1)})
+
+
+def _assert_two_variable_closed_form(points, report):
+    value, tops = _two_variable_threshold(points)
+    witnesses = [tuple(w) for w in report.witnesses]
+    assert report.value == value, points
+    if report.status == "complete":
+        assert None not in tops, points
+        assert witnesses == _two_variable_witnesses(tops, math.inf), points
+    else:
+        # a stall: the search finds the value, and the witnesses run on
+        assert report.status == "bound-exceeded" and None in tops, points
+        assert witnesses == _two_variable_witnesses(tops, report.search_bound), points
+
+
+def test_two_variable_closed_form_matches_the_pinned_reports():
+    entries = [e for e in json.loads(_REPORTS.read_text(encoding="utf-8")) if e["n"] == 2]
+    assert len(entries) == 50
+    statuses = []
+    for e in entries:
+        report = ct_diagram(from_points(e["points"], 2), max_bound=e["max_bound"])
+        _assert_two_variable_closed_form([tuple(p) for p in e["points"]], report)
+        statuses.append(report.status)
+    assert statuses.count("bound-exceeded") == 6
+
+
+def test_two_variable_closed_form_matches_the_search():
+    # seeded 2-variable diagrams: axis powers up to 12 on about 70 % of the
+    # axes, plus up to 4 points in [0, 8]^2, at cap 300
+    rng = random.Random(1717)
+    statuses = []
+    for _ in range(400):
+        points = {tuple(rng.randint(1, 12) if j == i else 0 for j in range(2))
+                  for i in range(2) if rng.random() < 0.7}
+        points |= {(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(0, 4))}
+        points.discard((0, 0))
+        if not points:
+            continue
+        report = ct_diagram(from_points(points, 2), max_bound=300)
+        _assert_two_variable_closed_form(points, report)
+        statuses.append(report.status)
+    assert statuses.count("complete") >= 250 and statuses.count("bound-exceeded") >= 50
+
+
 def _stack_search(best, gens, t, d, cap, skip):
     """The level search with a stack entry for every prefix down to n-2
     coordinates, each leaf's wf from scratch: the reference for _search,
@@ -974,6 +1042,12 @@ def test_oracle_stays_independent_of_the_search():
     assert not _code_names(ct_bruteforce) & search
     assert "_narrow" not in _code_names(engine_module._search)
     assert "_narrow" not in _code_names(ct_diagram)
+    # the 2-variable closed form uses nothing of the engine
+    engine_names = {name for name, value in vars(engine_module).items()
+                    if getattr(value, "__module__", None) == engine_module.__name__}
+    assert len(engine_names) >= 10
+    for oracle in (_two_variable_threshold, _two_variable_witnesses):
+        assert not _code_names(oracle) & (engine_names | search)
 
 
 def test_search_leaves_no_cyclic_garbage():

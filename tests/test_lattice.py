@@ -366,6 +366,63 @@ def test_digit_limit_does_not_follow_the_interpreter():
         sys.set_int_max_str_digits(old)
 
 
+# under the lowest int-string limit, 640 digits: runs of 2000 and 4300
+# digits convert, and text the grammar refuses past such a run reports its
+# own error
+_LOW_INT_LIMIT = """
+import sys
+from thresholdkit import ParseError, parse_polynomial
+
+print(sys.get_int_max_str_digits())
+ones = "1" * 2000
+support = parse_polynomial(ones + "/" + ones + "*x^" + ones + " + y^2", ["x", "y"])
+print(support.points == {((10 ** 2000 - 1) // 9, 0), (0, 2)})
+print(((10 ** 4300 - 1) // 9, 0, 0) in parse_polynomial("x^" + "1" * 4300 + "+y^2").points)
+for text in ["x^" + ones + " + 1/0*y", "x^" + ones + " + y^0", "x^" + ones + " + q"]:
+    try:
+        parse_polynomial(text)
+    except ParseError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-string limit")
+def test_digit_runs_convert_under_a_low_interpreter_limit():
+    # a subprocess, so that this process keeps its own limit
+    assert _run_optimized(_LOW_INT_LIMIT, PYTHONINTMAXSTRDIGITS="640").splitlines() == [
+        "640",
+        "True",
+        "True",
+        "zero denominator in coefficient (position 2007)",
+        "exponent must be a positive integer (position 2007)",
+        "unknown variable 'q' (position 2005)",
+    ]
+
+
+def test_parser_resolves_variables_once_without_the_token_walk(monkeypatch):
+    # text the grammar accepts never reaches the token walk, and an unknown
+    # variable's position comes from the text itself
+    def walk(text):
+        raise AssertionError("token walk on text the grammar accepts")
+
+    resolve, calls = thresholdkit.lattice._resolve_variables, []
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(thresholdkit.lattice, "_walk_tokens", walk)
+    monkeypatch.setattr(thresholdkit.lattice, "_resolve_variables", counted)
+    for text, variables, message in [("x^2 + q^3", ["x", "y"], "unknown variable 'q' (position 6)"),
+                                     ("xq + x^2*q", None, "unknown variable 'xq' (position 0)"),
+                                     ("x1 + x + x1*q1", None, "unknown variable 'q1' (position 12)")]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, variables)
+        assert str(err.value) == message
+    assert len(calls) == 3
+
+
 # The recursive-descent parser that preceded the flat one, kept as the
 # reference for the equivalence test below; it applies the sign before each
 # term, and _reference_parse sums the coefficients per exponent vector.
@@ -1063,8 +1120,10 @@ def test_maximin_kernel_output_is_pinned():
         if got != (e["u"], e["t"], e["lam"], e["d"]):
             moved.append(f"{e['gens']}: {got}")
     assert moved == []
-    # the axis step may enter a variable that was basic when it began: the
-    # face holds the basic variables too, or this vertex is missed
+    # the axis step may enter a variable that was basic when it began: it
+    # hands the kernel only the nonbasic columns of zero reduced cost, and a
+    # basic variable that leaves takes the entering column's place, so it
+    # may enter again; else this vertex is missed
     gens = [(3, 3, 0, 3), (3, 24, 3, 21), (5, 1, 4, 11), (22, 0, 3, 4)]
     assert thresholdkit.lattice._solve_maximin(gens) == ([4, 1, 0, 3], 24, [8, 0, 0, 0], 8)
 
@@ -1160,13 +1219,19 @@ def test_membership_skips_the_axis_step(monkeypatch):
     # contains_point and includes read only t and d, so the second objective
     # never runs for them; on seeded random rational queries in 2 to 5
     # variables membership equals the row kernel's answer with its axis step
-    real, second = thresholdkit.lattice._bland_simplex, []
+    # kernel calls per solve: the second objective is a second call
+    kernel, solve, calls = thresholdkit.lattice._bland_simplex, thresholdkit.newton._solve_maximin, []
 
-    def counted(cols, basis, labels, d, face=None):
-        second.append(face is not None)
-        return real(cols, basis, labels, d, face)
+    def counted_kernel(*args):
+        calls[-1] += 1
+        return kernel(*args)
 
-    monkeypatch.setattr(thresholdkit.lattice, "_bland_simplex", counted)
+    def counted_solve(*args):
+        calls.append(0)
+        return solve(*args)
+
+    monkeypatch.setattr(thresholdkit.lattice, "_bland_simplex", counted_kernel)
+    monkeypatch.setattr(thresholdkit.newton, "_solve_maximin", counted_solve)
     axis_steps = []
 
     def expected(diagram, point):
@@ -1189,10 +1254,10 @@ def test_membership_skips_the_axis_step(monkeypatch):
         small = from_points({tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 3))}, n)
         assert includes(diagram, small) == all(expected(diagram, g) for g in small.generators)
     assert min(seen.values()) >= 500
-    assert len(axis_steps) >= 1000 and len(second) >= 2000 and not any(second)
+    assert len(axis_steps) >= 1000 and len(calls) >= 2000 and set(calls) == {1}
     # the counter sees the axis step where it runs
     maximin_lp([(0, 1, 6), (1, 0, 5)], 3)
-    assert second[-2:] == [False, True]
+    assert calls[-1] == 2
 
 
 _CORRUPT_VERTEX = """
@@ -1215,10 +1280,11 @@ except AssertionError:
 """
 
 
-def _run_optimized(script: str) -> str:
-    """Stdout of script run under python -O on the package in src/."""
+def _run_optimized(script: str, **env: str) -> str:
+    """Stdout of script run under python -O on the package in src/, with env
+    added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
