@@ -218,15 +218,13 @@ def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, list[tuple[str, 
         raise AssertionError(f"the token walk accepts {text!r}, which the grammar's pattern refuses")
     terms: list[tuple[int | Fraction, list[tuple[str, int]]]] = []
     names: dict[str, None] = {}
-    # int() refuses no run of at most 640 digits, whatever the limit
-    to_int = int if len(text) <= 640 else _long_int
     for sign, num, den, name, exp in _PIECE_RE.findall(text):
         if sign or not terms:  # a term starts at a sign or at the first piece
-            coeff = Fraction(to_int(num), to_int(den)) if den else to_int(num) if num else 1
+            coeff = Fraction(_long_int(num), _long_int(den)) if den else _long_int(num) if num else 1
             factors: list[tuple[str, int]] = []
             terms.append((-coeff if sign == "-" else coeff, factors))
         if name:
-            factors.append((name, to_int(exp) if exp else 1))
+            factors.append((name, _long_int(exp) if exp else 1))
             names[name] = None
     return terms, names
 
