@@ -292,7 +292,7 @@ def _batch_line(job: tuple[str, int | None]) -> dict:
     line, max_bound = job
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         return {"error": f"invalid JSON: {exc}"}
     except RecursionError:
         return {"error": "invalid JSON: nested too deeply"}

@@ -237,16 +237,17 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
     """Offer to best each vector outside skip that the cut leaves, level by
     level up to the level bound or the cap; returns (bound, nodes, status).
     A stack entry is a prefix of at most n-3 coordinates: next coordinate k,
-    head, its dot products with the generators, rest of the level, gcd;
-    entries are pushed in reverse and pop in lexicographic order.  With x the
+    head, its dot products with the generators, rest of the level; entries
+    are pushed in reverse and pop in lexicographic order.  With x the
     next coordinate, <w, m> is at most the prefix's dot product plus x * m_k
     + (rest - x) * max_{j>k} m_j, linear in x, so the x that keep every m in
     reach of need form one integer interval.  The last two coordinates get
     no stack entries: a popped prefix of n-3 coordinates loops its next
     coordinate x in place, and per x the second-to-last coordinate y gets
     its interval from the prefix's dot products.  The last coordinate takes
-    the rest, so <w, m> is linear in y and that interval is exact; leaves
-    are evaluated in order and need is refreshed after each improvement, so
+    the rest, so <w, m> is linear in y and that interval is exact.  A leaf
+    is tested for primitivity with one gcd of its coordinates.  Leaves are
+    evaluated in order and need is refreshed after each improvement, so
     the vectors evaluated and their order are those of a stack that pushed
     every prefix.  n = 2 walks the same block on the root, its generators
     given a zero first coordinate held at x = 0 and left out of w.
@@ -277,9 +278,9 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
         # (level - 1) / wf ties or beats best iff wf >= need
         need = -(-(level - 1) * best.den // best.num)
         # every wf <= floor(level * t*) < need: no tie, no root prefix
-        stack = [(0, (), zeros, level, 0)] if level * t // d >= need else []
+        stack = [(0, (), zeros, level)] if level * t // d >= need else []
         while stack:
-            k, head, partial, rest, g = stack.pop()
+            k, head, partial, rest = stack.pop()
             # the x that keep every <w, m> >= need in reach form [lo, hi]
             lo, hi = 0, 0 if lead else rest
             for p, (a, mt) in zip(partial, coefs[k]):
@@ -300,7 +301,7 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
             if k < n - 3:
                 for x in range(hi, lo - 1, -1):
                     dots = [p + x * mk for p, mk in zip(partial, cols[k])]
-                    stack.append((k + 1, head + (x,), dots, rest - x, math.gcd(g, x)))
+                    stack.append((k + 1, head + (x,), dots, rest - x))
                 continue
             rows = [(p + rest * mz, e, a) for p, mz, (e, a) in zip(partial, cols[-1], ends)]
             for x in range(lo, hi + 1):
@@ -322,10 +323,9 @@ def _search(best: _Best, gens: Sequence[tuple[int, ...]], t: int, d: int, cap: i
                 if ylo > yhi:
                     continue
                 pre = head if lead else head + (x,)
-                gx = math.gcd(g, x)
                 for y in range(ylo, yhi + 1):
                     w = pre + (y, rest - x - y)
-                    if math.gcd(gx, y, rest) != 1 or w in skip:
+                    if math.gcd(*w) != 1 or w in skip:
                         continue
                     nodes += 1
                     wf = min([q + x * e + y * a for q, e, a in rows])

@@ -167,7 +167,7 @@ _INDEXED_RE = re.compile(r"x([1-9])")
 # longest digit run the grammar accepts, whatever the interpreter's own limit
 _MAX_DIGITS = 4300
 
-# The grammar of _parse_terms as one pattern, with whitespace (what
+# The grammar of parse_polynomial as one pattern, with whitespace (what
 # _TOKEN_RE skips) between tokens.  Each \s* is followed by a fixed operator
 # or by the end, and no two tokens of the grammar touch without one, so a
 # refusal backtracks over each character a bounded number of times.
@@ -195,43 +195,9 @@ def _long_int(digits: str) -> int:
     return _long_int(digits[:-640]) * 10 ** 640 + int(digits[-640:]) if len(digits) > 640 else int(digits)
 
 
-def _parse_terms(text: str) -> tuple[list[tuple[int | Fraction, list[tuple[str, int]]]], dict[str, None]]:
-    """Parse the polynomial grammar into (coefficient, factors) terms, each
-    factor a (variable, exponent) pair, and the variables, in order of
-    appearance.  A coefficient carries the sign before its term; it is an
-    int unless the term writes a '/'.
-
-    polynomial := ['+'|'-'] term (('+'|'-') term)*
-    term       := coefficient ['*' factor ('*' factor)*] | factor ('*' factor)*
-    factor     := variable ['^' positive-integer]
-    coefficient:= integer ['/' positive-integer]
-
-    Integers are runs of ASCII digits.  A bare coefficient is a constant
-    term (exponent vector 0), so input like "1 + x" parses; downstream
-    threshold code rejects it as a unit.  Two patterns compiled at import
-    decide and extract: _POLYNOMIAL_RE accepts the text, _PIECE_RE splits it
-    into pieces.  Text the first refuses goes to _walk_tokens, which
-    reports every error.
-    """
-    if _POLYNOMIAL_RE.fullmatch(text) is None:
-        _walk_tokens(text)
-        raise AssertionError(f"the token walk accepts {text!r}, which the grammar's pattern refuses")
-    terms: list[tuple[int | Fraction, list[tuple[str, int]]]] = []
-    names: dict[str, None] = {}
-    for sign, num, den, name, exp in _PIECE_RE.findall(text):
-        if sign or not terms:  # a term starts at a sign or at the first piece
-            coeff = Fraction(_long_int(num), _long_int(den)) if den else _long_int(num) if num else 1
-            factors: list[tuple[str, int]] = []
-            terms.append((-coeff if sign == "-" else coeff, factors))
-        if name:
-            factors.append((name, _long_int(exp) if exp else 1))
-            names[name] = None
-    return terms, names
-
-
 def _walk_tokens(text: str) -> None:
-    """Walk the tokens of text by the grammar of _parse_terms and raise the
-    first ParseError, with its position.  Every character is tokenized
+    """Walk the tokens of text by the grammar of parse_polynomial and raise
+    the first ParseError, with its position.  Every character is tokenized
     before any grammar error is raised, and no digit run is converted."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
@@ -327,27 +293,48 @@ def _resolve_variables(names: dict[str, None], variables: Sequence[str] | None, 
 def parse_polynomial(text: str, variables: Sequence[str] | None = None) -> SupportSet:
     """Parse polynomial text into the set of exponent vectors of its terms.
 
-    Each term's coefficient, with the sign before the term, is added to the
-    sum of its exponent vector; the vectors whose sum is nonzero are the
-    support, and the sums are then discarded: thresholds depend only on the
-    support.  So "x^2 - x^2 + y^3" has support {y^3}.  With ``variables=None``
-    the ambient variable list is inferred: plain names draw from (x, y, z, w)
-    with dimension 3 unless ``w`` occurs, and indexed names x1..x8 declare
-    dimension max(index, 2).  Text the grammar accepts is read by compiled
-    patterns (_parse_terms); the token walk (_walk_tokens) runs only on text
-    they refuse, to report its error.
+    polynomial := ['+'|'-'] term (('+'|'-') term)*
+    term       := coefficient ['*' factor ('*' factor)*] | factor ('*' factor)*
+    factor     := variable ['^' positive-integer]
+    coefficient:= integer ['/' positive-integer]
+
+    Integers are runs of ASCII digits.  A bare coefficient is a constant
+    term (exponent vector 0), so input like "1 + x" parses; downstream
+    threshold code rejects it as a unit.  Each term's coefficient, with the
+    sign before the term, is added to the sum of its exponent vector; it is
+    an int unless the term writes a '/'.  The vectors whose sum is nonzero
+    are the support, and the sums are then discarded: thresholds depend only
+    on the support.  So "x^2 - x^2 + y^3" has support {y^3}.  With
+    ``variables=None`` the ambient variable list is inferred: plain names
+    draw from (x, y, z, w) with dimension 3 unless ``w`` occurs, and indexed
+    names x1..x8 declare dimension max(index, 2).  Two patterns compiled at
+    import read text the grammar accepts: _POLYNOMIAL_RE accepts it, and one
+    _PIECE_RE.findall splits it into pieces.  Text the first refuses goes to
+    the token walk (_walk_tokens), which reports its error.
     """
-    terms, names = _parse_terms(text)
+    if _POLYNOMIAL_RE.fullmatch(text) is None:
+        _walk_tokens(text)
+        raise AssertionError(f"the token walk accepts {text!r}, which the grammar's pattern refuses")
+    pieces = _PIECE_RE.findall(text)
+    names = dict.fromkeys(piece[3] for piece in pieces)
+    names.pop("", None)
     vars_ = _resolve_variables(names, variables, text)
     index = {name: i for i, name in enumerate(vars_)}
 
     sums: dict[ExponentVector, int | Fraction] = {}
-    for coeff, factors in terms:
-        vec = [0] * len(vars_)
-        for name, exp in factors:
-            vec[index[name]] += exp
-        point = tuple(vec)
-        sums[point] = sums.get(point, 0) + coeff
+    vec = None
+    for sign, num, den, name, exp in pieces:
+        if sign or vec is None:  # a term starts at a sign or at the first piece
+            if vec is not None:  # and the term before it ends
+                point = tuple(vec)
+                sums[point] = sums.get(point, 0) + coeff
+            coeff = Fraction(_long_int(num), _long_int(den)) if den else _long_int(num) if num else 1
+            coeff = -coeff if sign == "-" else coeff
+            vec = [0] * len(vars_)
+        if name:
+            vec[index[name]] += _long_int(exp) if exp else 1
+    point = tuple(vec)
+    sums[point] = sums.get(point, 0) + coeff
     points = [point for point, total in sums.items() if total]
     if not points:
         raise ParseError("zero polynomial: no terms with nonzero coefficient")

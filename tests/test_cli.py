@@ -504,16 +504,22 @@ def test_batch_parse_error_lines_carry_message_and_position(tmp_path, capsys):
 
 def test_batch_digit_errors_are_error_lines(tmp_path, capsys):
     path = tmp_path / "jobs.jsonl"
-    lines = ["x^" + "9" * 5000 + "+y^2+z^2", "x^\u0663+y^2+z^2", "x^2+y^3+z^7"]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    lines = [json.dumps(text) for text in ["x^" + "9" * 5000 + "+y^2+z^2", "x^\u0663+y^2+z^2", "x^2+y^3+z^7"]]
+    # a diagram object, written raw, with an integer past the interpreter's
+    # int-string limit: json.loads raises a plain ValueError, not a
+    # JSONDecodeError
+    lines.insert(2, '{"n": 3, "points": [[' + "9" * 5000 + ', 0, 0], [0, 3, 0], [0, 0, 5]]}')
+    path.write_text("".join(line + "\n" for line in lines))
     code, out, _ = run(capsys, "batch", str(path))
     assert code == 1
     results = [json.loads(line) for line in out.splitlines()]
+    assert len(results) == 4
     assert results[:2] == [
         {"error": "integer of 5000 digits is too long (position 2)"},
         {"error": "unexpected character '\u0663' (position 2)"},
     ]
-    assert results[2]["value"] == {"num": 5, "den": 6}
+    assert results[2]["error"].startswith("invalid JSON: ")
+    assert results[3]["value"] == {"num": 5, "den": 6}
 
 
 def test_batch_diagram_objects(tmp_path, capsys):

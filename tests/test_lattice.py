@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 import thresholdkit
 from thresholdkit.engine import _ray_seed
-from thresholdkit.lattice import _parse_terms
 from thresholdkit.newton import _minimal_elements
 from thresholdkit import (
     DimensionMismatchError,
@@ -175,10 +174,18 @@ def test_parse_sums_signed_coefficients_per_exponent_vector():
             parse_polynomial(text)
 
 
-def test_parse_keeps_int_coefficients_without_a_slash():
-    terms, _ = _parse_terms("x - 2*y + 3/4*z - 6/3*w")
-    assert [(type(c), c) for c, _ in terms] == [
-        (int, 1), (int, -2), (Fraction, Fraction(3, 4)), (Fraction, Fraction(-2))]
+def test_parse_keeps_int_coefficients_without_a_slash(monkeypatch):
+    # a Fraction is built only for a coefficient that writes a '/'
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(thresholdkit.lattice, "Fraction", recorded)
+    support = parse_polynomial("x - 2*y + 3/4*z - 6/3*w")
+    assert calls == [(3, 4), (6, 3)]
+    assert support.points == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
 
 def test_parse_repeated_factor_accumulates():
